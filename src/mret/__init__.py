@@ -35,6 +35,7 @@ from .reachability import (
     evaluate_schedule,
     evaluate_temporalisation,
     schedule_from_temporalisation,
+    total_reachability,
 )
 from .reduction import (
     ReductionInstance,
@@ -42,6 +43,7 @@ from .reduction import (
     build_instance,
     certify,
     check_bounds,
+    instance_manifest,
     load_instance,
     lower_bound,
     schedule_from_assignment,
@@ -89,6 +91,7 @@ __all__ = [
     "gen_fig3",
     "gen_random_sc",
     "greedy_pair",
+    "instance_manifest",
     "is_strongly_connected",
     "load_instance",
     "lower_bound",
@@ -103,6 +106,7 @@ __all__ = [
     "solve_arborescence",
     "solve_exact",
     "solve_local",
+    "total_reachability",
     "upper_bound_one",
     "upper_bound_two",
     "variable_gadget_activation",

@@ -9,9 +9,7 @@ wall time.  Big integers travel as decimal strings in JSON.
 Exit codes: 0 success; 1 invalid input or precondition; 2 scale limit
 exceeded.  All randomness flows from ``--seed`` through Python's
 Mersenne Twister (``random.Random``), so equal invocations give
-byte-identical reports.  ``--threads`` is accepted for compatibility
-with schedulers; the implementation is serial and output does not
-depend on it.
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -28,25 +26,26 @@ from .cnf import parse_assignment, parse_dimacs
 from .errors import ParseError, ScaleLimitError
 from .generators import gen_fig3, gen_random_sc
 from .graphs import (
-    Digraph,
-    _data_lines,
+    Schedule,
     format_digraph,
     format_schedule,
     parse_digraph,
     parse_schedule,
     parse_temporal_graph,
-    parse_times,
+    parse_timing,
 )
 from .reachability import (
     evaluate_schedule,
     evaluate_temporalisation,
     schedule_from_temporalisation,
+    total_reachability,
 )
 from .reduction import (
     ReductionParams,
     build_instance,
     certify,
     check_bounds,
+    instance_manifest,
     load_instance,
     schedule_from_assignment,
     write_instance,
@@ -104,33 +103,20 @@ def _emit(run: _Run, result: dict, fmt: str) -> None:
         print(f"run: output {path}")
 
 
-def _load_graph(run: _Run, path: str) -> Digraph:
-    return parse_digraph(run.read(path))
-
-
 def cmd_eval(args, run: _Run) -> dict:
-    g = _load_graph(run, args.graph)
-    text = run.read(args.timing)
-    kind = args.kind
-    if kind == "auto":
-        # valid times are >= 1, so a 0..m-1 permutation can only be a schedule
-        try:
-            values = [int(tok) for _, line in _data_lines(text) for tok in line.split()]
-        except ValueError:
-            raise ParseError("timing file must contain integers") from None
-        kind = "schedule" if sorted(values) == list(range(g.edge_count)) else "times"
-    if kind == "schedule":
-        res = evaluate_schedule(g, parse_schedule(text, g.edge_count))
-    else:
-        res = evaluate_temporalisation(g, parse_times(text, g.edge_count))
-    result = {"kind": kind, "total": res.total}
-    if args.counts:
-        result["per_source_counts"] = list(res.per_source_counts)
-    return result
+    g = parse_digraph(run.read(args.graph))
+    timing = parse_timing(run.read(args.timing), g.edge_count, args.kind)
+    kind = "schedule" if isinstance(timing, Schedule) else "times"
+    if not args.counts:
+        return {"kind": kind, "total": total_reachability(g, timing)}
+    evaluate = evaluate_schedule if kind == "schedule" else evaluate_temporalisation
+    res = evaluate(g, timing)
+    return {"kind": kind, "total": res.total,
+            "per_source_counts": list(res.per_source_counts)}
 
 
 def cmd_solve(args, run: _Run) -> dict:
-    g = _load_graph(run, args.graph)
+    g = parse_digraph(run.read(args.graph))
     if args.method == "exact":
         res = solve_exact(g, limit=args.limit)
     elif args.method == "local":
@@ -148,20 +134,10 @@ def cmd_reduce(args, run: _Run) -> dict:
     inst = build_instance(formula, k_override=args.k, m_override=args.m_param)
     for path in write_instance(inst, args.out):
         run.wrote(path)
-    p = inst.params
-    report = check_bounds(p)
+    report = check_bounds(inst.params)
     return {
-        "n": p.n,
-        "m": p.m,
-        "K": p.K,
-        "M": p.M,
-        "H_size": p.h_size,
-        "node_count": p.node_count,
-        "edge_count": p.edge_count,
-        "L": str(inst.bounds[0]),
-        "U1": str(inst.bounds[1]),
-        "U2": str(inst.bounds[2]),
-        "official": p.official,
+        **instance_manifest(inst),
+        "official": report["official"],
         "L_exceeds_U1": report["L_minus_U1"] > 0,
         "L_exceeds_U2": report["L_minus_U2"] > 0,
     }
@@ -188,13 +164,7 @@ def cmd_certify(args, run: _Run) -> dict:
 
 
 def cmd_bounds(args, run: _Run) -> dict:
-    if args.k is None and args.m_param is None:
-        params = ReductionParams.official_for(args.n, args.m)
-    else:
-        K = args.k if args.k is not None else 91 * args.n * args.m
-        h_size = 2 * (K + 1) * args.m + 4 * args.n
-        M = args.m_param if args.m_param is not None else (h_size + 5) ** 2 + 1
-        params = ReductionParams(args.n, args.m, K, M)
+    params = ReductionParams.official_for(args.n, args.m, K=args.k, M=args.m_param)
     report = check_bounds(params)
     return {
         "n": params.n,
@@ -212,7 +182,7 @@ def cmd_bounds(args, run: _Run) -> dict:
 
 
 def cmd_astra(args, run: _Run) -> dict:
-    g = _load_graph(run, args.graph)
+    g = parse_digraph(run.read(args.graph))
     if args.root is None:
         report = best_root(g, args.method, seed=args.seed, limit=args.limit)
         return report.to_json()
@@ -263,7 +233,7 @@ def cmd_convert(args, run: _Run) -> dict:
     result = {
         "node_count": g.node_count,
         "edge_count": g.edge_count,
-        "total": evaluate_temporalisation(g, t).total,
+        "total": total_reachability(g, t),
     }
     if args.out:
         graph_path = args.out + ".digraph"
@@ -289,8 +259,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mret", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; execution is serial")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("eval", help="evaluate a schedule or times file on a digraph")
@@ -370,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     args.raw_argv = argv
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     run = _Run(args)
     try:
         result = args.func(args, run)

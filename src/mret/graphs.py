@@ -125,38 +125,13 @@ def _ints(line: str, lineno: int, expect: int, what: str) -> list[int]:
         raise ParseError(f"{what}: non-integer field in {line!r}", lineno) from None
 
 
-def parse_digraph(text: str) -> Digraph:
-    """Parse the digraph file format; errors carry line numbers."""
+def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, list[int]]:
+    """Shared core of the digraph and temporal-graph formats: the graph
+    and, when `timed`, the time label of every edge line."""
+    what, fields = ("temporal edge", 3) if timed else ("edge", 2)
     lines = _data_lines(text)
     if not lines:
-        raise ParseError("empty digraph file")
-    lineno, header = lines[0]
-    n, m = _ints(header, lineno, 2, "header")
-    if n < 0 or m < 0:
-        raise ParseError("header counts must be non-negative", lineno)
-    body = lines[1:]
-    if len(body) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(body)}", lineno)
-    edges = []
-    for lineno, line in body:
-        a, b = _ints(line, lineno, 2, "edge")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"endpoint out of range: ({a}, {b}) with n={n}", lineno)
-        edges.append((a, b))
-    return Digraph(n, tuple(edges))
-
-
-def format_digraph(g: Digraph) -> str:
-    lines = [f"{g.node_count} {g.edge_count}"]
-    lines.extend(f"{a} {b}" for a, b in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:
-    """Parse the temporal-graph file format (``tail head time`` lines)."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty temporal-graph file")
+        raise ParseError(f"empty {'temporal-graph' if timed else 'digraph'} file")
     lineno, header = lines[0]
     n, m = _ints(header, lineno, 2, "header")
     if n < 0 or m < 0:
@@ -167,14 +142,33 @@ def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:
     edges = []
     times = []
     for lineno, line in body:
-        a, b, t = _ints(line, lineno, 3, "temporal edge")
+        row = _ints(line, lineno, fields, what)
+        a, b = row[0], row[1]
         if not (0 <= a < n and 0 <= b < n):
             raise ParseError(f"endpoint out of range: ({a}, {b}) with n={n}", lineno)
-        if t < 1:
-            raise ParseError(f"time label must be >= 1, got {t}", lineno)
+        if timed:
+            if row[2] < 1:
+                raise ParseError(f"time label must be >= 1, got {row[2]}", lineno)
+            times.append(row[2])
         edges.append((a, b))
-        times.append(t)
-    return Digraph(n, tuple(edges)), Temporalisation(tuple(times))
+    return Digraph(n, tuple(edges)), times
+
+
+def parse_digraph(text: str) -> Digraph:
+    """Parse the digraph file format; errors carry line numbers."""
+    return _parse_edge_table(text, timed=False)[0]
+
+
+def format_digraph(g: Digraph) -> str:
+    lines = [f"{g.node_count} {g.edge_count}"]
+    lines.extend(f"{a} {b}" for a, b in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:
+    """Parse the temporal-graph file format (``tail head time`` lines)."""
+    g, times = _parse_edge_table(text, timed=True)
+    return g, Temporalisation(tuple(times))
 
 
 def format_temporal_graph(g: Digraph, t: Temporalisation) -> str:
@@ -185,24 +179,50 @@ def format_temporal_graph(g: Digraph, t: Temporalisation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_schedule(text: str, edge_count: int) -> Schedule:
-    """Parse a schedule file: one line of `edge_count` edge indices."""
+# kind -> (type built, name of one value, name of several)
+_TIMING_KINDS = {
+    "schedule": (Schedule, "edge index", "edge indices"),
+    "times": (Temporalisation, "time label", "time labels"),
+}
+
+
+def parse_timing(text: str, edge_count: int, kind: str = "auto") -> Schedule | Temporalisation:
+    """Parse a schedule or times file: one line of `edge_count` integers.
+
+    With ``kind="auto"`` the file is a schedule if its values are a
+    permutation of 0..m-1 and a times file otherwise; valid times are
+    >= 1, so a permutation can only be a schedule.
+    """
     lines = _data_lines(text)
+    values = None
+    if kind == "auto":
+        try:
+            values = [int(tok) for _, line in lines for tok in line.split()]
+        except ValueError:
+            raise ParseError("timing file must contain integers") from None
+        kind = "schedule" if sorted(values) == list(range(edge_count)) else "times"
+    build, one, several = _TIMING_KINDS[kind]
     if edge_count == 0 and not lines:
-        return Schedule(())
+        return build(())
     if len(lines) != 1:
-        raise ParseError(f"schedule file must have exactly one data line, found {len(lines)}")
+        raise ParseError(f"{kind} file must have exactly one data line, found {len(lines)}")
     lineno, line = lines[0]
+    if values is None:
+        try:
+            values = [int(p) for p in line.split()]
+        except ValueError:
+            raise ParseError(f"non-integer {one}", lineno) from None
+    if len(values) != edge_count:
+        raise ParseError(f"expected {edge_count} {several}, got {len(values)}", lineno)
     try:
-        order = [int(p) for p in line.split()]
-    except ValueError:
-        raise ParseError("non-integer edge index", lineno) from None
-    if len(order) != edge_count:
-        raise ParseError(f"expected {edge_count} edge indices, got {len(order)}", lineno)
-    try:
-        return Schedule(tuple(order))
+        return build(tuple(values))
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
+
+
+def parse_schedule(text: str, edge_count: int) -> Schedule:
+    """Parse a schedule file: one line of `edge_count` edge indices."""
+    return parse_timing(text, edge_count, "schedule")
 
 
 def format_schedule(s: Schedule) -> str:
@@ -211,22 +231,7 @@ def format_schedule(s: Schedule) -> str:
 
 def parse_times(text: str, edge_count: int) -> Temporalisation:
     """Parse a times file: one line of `edge_count` labels >= 1."""
-    lines = _data_lines(text)
-    if edge_count == 0 and not lines:
-        return Temporalisation(())
-    if len(lines) != 1:
-        raise ParseError(f"times file must have exactly one data line, found {len(lines)}")
-    lineno, line = lines[0]
-    try:
-        times = [int(p) for p in line.split()]
-    except ValueError:
-        raise ParseError("non-integer time label", lineno) from None
-    if len(times) != edge_count:
-        raise ParseError(f"expected {edge_count} time labels, got {len(times)}", lineno)
-    try:
-        return Temporalisation(tuple(times))
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from None
+    return parse_timing(text, edge_count, "times")
 
 
 def _reaches_all(start: int, adj) -> bool:

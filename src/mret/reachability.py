@@ -2,23 +2,28 @@
 
 A temporal path is an edge sequence that is consecutive in endpoints
 and strictly increasing in appearing time.  Equal-time edges therefore
-never chain.  The engine runs one forward pass over the edges in time
-order, keeping for every node the packed bit set of sources that reach
-it; processing edge (a, b) merges the set of a into the set of b.  With
-all-distinct times this single pass is exact, because every prefix of
-the pass uses strictly smaller times than the edge being processed.
-With ties, all merges of one time group read from a snapshot taken at
-the end of the previous group.
+never chain.  All evaluation goes through one kernel, `_propagate`: a
+single pass over the edges in time order that keeps, for every node,
+the packed bit set of sources reaching it, so processing edge (a, b)
+merges the set of a into the set of b.  Every prefix of the pass uses
+strictly smaller times than the edge being processed, so one pass is
+exact for a schedule.  A temporalisation with ties is passed as runs of
+equal times: inside a run every mask is read before any merge, so an
+edge never sees a merge made at its own time.
 
 Reach sets are Python integers used as bit vectors, so one merge is a
-single word-parallel OR: a full evaluation costs O(m * n / wordsize).
-Reflexive pairs count: an empty-edge graph has total = n.
+single word-parallel OR: a pass costs O(m * n / wordsize).  Reflexive
+pairs count: an empty-edge graph has total = n.
+
+`total_reachability` runs the forward pass only.  The full evaluations
+add the per-source counts with a reverse pass, which by duality is the
+same kernel over the reversed edges in reversed time order; the forward
+total must equal the sum of the reverse counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from .graphs import Digraph, Schedule, Temporalisation
 
@@ -49,63 +54,80 @@ class ReachabilityResult:
         return {v for v in range(self.node_count) if self.reach_from[v] >> u & 1}
 
 
-def _result(node_count: int, reach: list[int], rev: list[int]) -> ReachabilityResult:
-    total = sum(r.bit_count() for r in reach)
-    counts = tuple(r.bit_count() for r in rev)
-    assert total == sum(counts)
-    return ReachabilityResult(node_count, tuple(reach), counts, total)
+def _propagate(node_count: int, edges, order, ends=None) -> list[int]:
+    """Reach sets after firing `edges[ei]` for every `ei` of `order`.
+
+    `ends` lists the exclusive end positions in `order` of the runs of
+    equal times; None means every edge has its own time.
+    """
+    reach = [1 << v for v in range(node_count)]
+    if ends is None:
+        for ei in order:
+            a, b = edges[ei]
+            reach[b] |= reach[a]
+        return reach
+    start = 0
+    for end in ends:
+        run = [edges[ei] for ei in order[start:end]]
+        masks = [reach[a] for a, _ in run]
+        for (_, b), mask in zip(run, masks):
+            reach[b] |= mask
+        start = end
+    return reach
+
+
+def _timeline(g: Digraph, timing: Schedule | Temporalisation):
+    """(order, ends) of `timing` for `_propagate`."""
+    if isinstance(timing, Schedule):
+        if len(timing.order) != g.edge_count:
+            raise ValueError(
+                f"schedule is not a permutation of the graph's edge indices "
+                f"(length {len(timing.order)}, expected {g.edge_count})"
+            )
+        return timing.order, None
+    times = timing.times
+    if len(times) != g.edge_count:
+        raise ValueError(
+            f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
+        )
+    order = sorted(range(len(times)), key=times.__getitem__)
+    ends = [i for i in range(1, len(order)) if times[order[i - 1]] != times[order[i]]]
+    ends.append(len(order))
+    return order, ends
+
+
+def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:
+    """Total reachability of a schedule or temporalisation, forward pass only."""
+    order, ends = _timeline(g, timing)
+    return sum(map(int.bit_count, _propagate(g.node_count, g.edges, order, ends)))
+
+
+def _evaluate(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityResult:
+    order, ends = _timeline(g, timing)
+    reach = _propagate(g.node_count, g.edges, order, ends)
+    if ends is not None:
+        # run [s, e) of the order is run [m - e, m - s) of the reversed order
+        m = len(order)
+        ends = [m - s for s in reversed([0, *ends[:-1]])]
+    # rev[u] = targets reachable from u
+    rev = _propagate(g.node_count, [(b, a) for a, b in g.edges], order[::-1], ends)
+    total = sum(map(int.bit_count, reach))
+    counts = tuple(map(int.bit_count, rev))
+    if total != sum(counts):
+        raise RuntimeError(
+            f"forward total {total} differs from the reverse counts' sum {sum(counts)}"
+        )
+    return ReachabilityResult(g.node_count, tuple(reach), counts, total)
 
 
 def evaluate_schedule(g: Digraph, s: Schedule) -> ReachabilityResult:
     """Evaluate a schedule: edge `s.order[i]` appears at time i+1."""
-    order = s.order
-    if len(order) != g.edge_count:
-        raise ValueError(
-            f"schedule is not a permutation of the graph's edge indices "
-            f"(length {len(order)}, expected {g.edge_count})"
-        )
-    edges = g.edges
-    # forward: reach[v] = sources reaching v so far
-    reach = [1 << v for v in range(g.node_count)]
-    for ei in order:
-        a, b = edges[ei]
-        reach[b] |= reach[a]
-    # backward over reversed edges: rev[u] = targets reachable from u
-    rev = [1 << v for v in range(g.node_count)]
-    for ei in reversed(order):
-        a, b = edges[ei]
-        rev[a] |= rev[b]
-    return _result(g.node_count, reach, rev)
-
-
-def _grouped_pass(node_count: int, edges, groups, forward: bool) -> list[int]:
-    # merges within one group read the snapshot from the previous group:
-    # equal-time edges never chain
-    reach = [1 << v for v in range(node_count)]
-    for group in groups:
-        updates: dict[int, int] = {}
-        for ei in group:
-            a, b = edges[ei]
-            if not forward:
-                a, b = b, a
-            updates[b] = updates.get(b, 0) | reach[a]
-        for b, mask in updates.items():
-            reach[b] |= mask
-    return reach
+    return _evaluate(g, s)
 
 
 def evaluate_temporalisation(g: Digraph, t: Temporalisation) -> ReachabilityResult:
     """Evaluate a temporalisation, processing distinct times in order."""
-    if len(t.times) != g.edge_count:
-        raise ValueError(
-            f"temporalisation length {len(t.times)} does not match edge count {g.edge_count}"
-        )
-    times = t.times
-    by_time = sorted(range(g.edge_count), key=lambda i: times[i])
-    groups = [list(grp) for _, grp in groupby(by_time, key=lambda i: times[i])]
-    reach = _grouped_pass(g.node_count, g.edges, groups, forward=True)
-    rev = _grouped_pass(g.node_count, g.edges, reversed(groups), forward=False)
-    return _result(g.node_count, reach, rev)
+    return _evaluate(g, t)
 
 
 def schedule_from_temporalisation(t: Temporalisation) -> Schedule:

@@ -34,7 +34,7 @@ from .graphs import (
     is_strongly_connected,
     parse_digraph,
 )
-from .reachability import evaluate_schedule
+from .reachability import total_reachability
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,16 @@ class ReductionParams:
         return self.K >= 91 * self.n * self.m and self.M > (self.h_size + 5) ** 2
 
     @classmethod
-    def official_for(cls, n: int, m: int) -> "ReductionParams":
-        K = 91 * n * m
-        h_size = 2 * (K + 1) * m + 4 * n
-        return cls(n, m, K, (h_size + 5) ** 2 + 1)
+    def official_for(
+        cls, n: int, m: int, K: int | None = None, M: int | None = None
+    ) -> "ReductionParams":
+        """Official sizes K = 91nm and M = (H_size+5)^2 + 1 for n variables
+        and m clauses, except where K or M is given."""
+        if K is None:
+            K = 91 * n * m
+        if M is None:
+            M = (2 * (K + 1) * m + 4 * n + 5) ** 2 + 1
+        return cls(n, m, K, M)
 
     @property
     def node_count(self) -> int:
@@ -112,8 +118,8 @@ def check_bounds(p: ReductionParams) -> dict:
     L = lower_bound(p)
     u1 = upper_bound_one(p)
     u2 = upper_bound_two(p)
-    if p.official:
-        assert L - u1 > 0 and L - u2 > 0
+    if p.official and not (L > u1 and L > u2):
+        raise RuntimeError(f"official parameters {p} do not separate L from U1 and U2")
     return {
         "L": L,
         "U1": u1,
@@ -190,12 +196,8 @@ def build_instance(
     m_override: int | None = None,
 ) -> ReductionInstance:
     n, m = f.variable_count, f.clause_count
-    K = 91 * n * m if k_override is None else k_override
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    h_size = 2 * (K + 1) * m + 4 * n
-    M = (h_size + 5) ** 2 + 1 if m_override is None else m_override
-    params = ReductionParams(n, m, K, M)
+    params = ReductionParams.official_for(n, m, K=k_override, M=m_override)
+    M = params.M
     lay = _Layout(params)
 
     edges: list[tuple[int, int]] = []
@@ -307,22 +309,14 @@ def certify(inst: ReductionInstance, s: Schedule) -> dict:
             f"schedule has {len(s.order)} entries for "
             f"{inst.digraph.edge_count} edges"
         )
-    total = evaluate_schedule(inst.digraph, s).total
+    total = total_reachability(inst.digraph, s)
     return {"total": total, "L": inst.bounds[0], "meets_L": total >= inst.bounds[0]}
 
 
-def write_instance(inst: ReductionInstance, prefix: str | Path) -> list[Path]:
-    """Write <prefix>.digraph, <prefix>.roles, <prefix>.manifest.json."""
-    prefix = Path(prefix)
+def instance_manifest(inst: ReductionInstance) -> dict:
+    """Sizes and bounds of an instance; the bounds as decimal strings."""
     p = inst.params
-    graph_path = prefix.with_suffix(prefix.suffix + ".digraph")
-    roles_path = prefix.with_suffix(prefix.suffix + ".roles")
-    manifest_path = prefix.with_suffix(prefix.suffix + ".manifest.json")
-    graph_path.write_text(format_digraph(inst.digraph))
-    roles_path.write_text(
-        "".join(f"{i} {role}\n" for i, role in enumerate(inst.roles))
-    )
-    manifest = {
+    return {
         "n": p.n,
         "m": p.m,
         "K": p.K,
@@ -334,7 +328,22 @@ def write_instance(inst: ReductionInstance, prefix: str | Path) -> list[Path]:
         "U1": str(inst.bounds[1]),
         "U2": str(inst.bounds[2]),
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _instance_paths(prefix: str | Path) -> list[Path]:
+    prefix = Path(prefix)
+    suffixes = (".digraph", ".roles", ".manifest.json")
+    return [prefix.with_suffix(prefix.suffix + s) for s in suffixes]
+
+
+def write_instance(inst: ReductionInstance, prefix: str | Path) -> list[Path]:
+    """Write <prefix>.digraph, <prefix>.roles, <prefix>.manifest.json."""
+    graph_path, roles_path, manifest_path = _instance_paths(prefix)
+    graph_path.write_text(format_digraph(inst.digraph))
+    roles_path.write_text(
+        "".join(f"{i} {role}\n" for i, role in enumerate(inst.roles))
+    )
+    manifest_path.write_text(json.dumps(instance_manifest(inst), indent=2) + "\n")
     return [graph_path, roles_path, manifest_path]
 
 
@@ -345,10 +354,7 @@ def load_instance(prefix: str | Path) -> ReductionInstance:
     is rebuilt from scratch, and the stored graph and roles must match
     the rebuild exactly.
     """
-    prefix = Path(prefix)
-    graph_path = prefix.with_suffix(prefix.suffix + ".digraph")
-    roles_path = prefix.with_suffix(prefix.suffix + ".roles")
-    manifest_path = prefix.with_suffix(prefix.suffix + ".manifest.json")
+    graph_path, roles_path, manifest_path = _instance_paths(prefix)
     try:
         manifest = json.loads(manifest_path.read_text())
         n, m, K, M = (int(manifest[k]) for k in ("n", "m", "K", "M"))

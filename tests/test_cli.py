@@ -326,13 +326,14 @@ def test_text_format(two_cycle, tmp_path, capsys):
     assert any(line.startswith("run: command=eval") for line in lines)
 
 
-def test_threads_accepted_serially(two_cycle, tmp_path, capsys):
+def test_threads_flag_rejected(two_cycle, tmp_path, capsys):
+    # execution is serial; a --threads flag would do nothing, so there is none
     sched = tmp_path / "s.txt"
     sched.write_text("0 1\n")
-    one = run_json(["--threads", "1", "eval", two_cycle, str(sched)], capsys)
-    four = run_json(["--threads", "4", "eval", two_cycle, str(sched)], capsys)
-    assert one["result"] == four["result"]
-    assert run_cli(["--threads", "0", "eval", two_cycle, str(sched)], capsys)[0] == 1
+    code, out, err = run_cli(["--threads", "4", "eval", two_cycle, str(sched)], capsys)
+    assert code == 1 and out == "" and "error" in err
+    code, _, err = run_cli(["--threads=4", "eval", two_cycle, str(sched)], capsys)
+    assert code == 1 and "unrecognized arguments: --threads=4" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -3,11 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from mret import reachability
 from mret.graphs import Digraph, Schedule, Temporalisation
 from mret.reachability import (
     evaluate_schedule,
     evaluate_temporalisation,
     schedule_from_temporalisation,
+    total_reachability,
 )
 
 from oracle import naive_counts_for_schedule, naive_reach_pairs, naive_total_for_schedule
@@ -178,3 +180,29 @@ def test_result_reach_accessors_agree():
         for v in range(3):
             assert res.reaches(u, v) == (v in res.targets_reached(u))
     assert res.sources_reaching(0) == {0, 1, 2}
+
+
+def test_forward_reverse_disagreement_raises(monkeypatch):
+    kernel = reachability._propagate
+    passes = []
+
+    def lossy_reverse(node_count, edges, order, ends=None):
+        passes.append(order)
+        if len(passes) == 1:
+            return kernel(node_count, edges, order, ends)
+        return [1 << v for v in range(node_count)]
+
+    monkeypatch.setattr(reachability, "_propagate", lossy_reverse)
+    with pytest.raises(RuntimeError, match="reverse counts"):
+        evaluate_schedule(PATH3, Schedule((0, 1)))
+
+
+def test_total_reachability_is_the_forward_total():
+    assert total_reachability(PATH3, Schedule((0, 1))) == 6
+    assert total_reachability(PATH3, Schedule((1, 0))) == 5
+    assert total_reachability(PATH3, Temporalisation((1, 1))) == 5
+    assert total_reachability(PATH3, Temporalisation((1, 2))) == 6
+    with pytest.raises(ValueError, match="permutation"):
+        total_reachability(PATH3, Schedule((0,)))
+    with pytest.raises(ValueError, match="does not match"):
+        total_reachability(PATH3, Temporalisation((1,)))

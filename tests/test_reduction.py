@@ -6,6 +6,7 @@ import pytest
 
 from oracle import brute_force_satisfying_assignments
 
+from mret import reduction
 from mret.cnf import CnfFormula
 from mret.graphs import Digraph, Schedule, is_strongly_connected
 from mret.reachability import evaluate_schedule
@@ -70,6 +71,23 @@ def test_check_bounds_official_grid():
             assert rep["L_minus_U1"] > 0
             assert rep["L_minus_U2"] > 0
             assert rep["L"] == rep["U1"] + rep["L_minus_U1"]
+
+
+def test_check_bounds_raises_when_official_bounds_do_not_separate(monkeypatch):
+    monkeypatch.setattr(reduction, "upper_bound_one", lambda p: lower_bound(p) + 1)
+    with pytest.raises(RuntimeError, match="do not separate"):
+        check_bounds(ReductionParams.official_for(3, 3))
+    # non-official parameters only report the arithmetic
+    assert check_bounds(ReductionParams(3, 3, 2, 5))["L_minus_U1"] == -1
+
+
+def test_official_for_overrides():
+    official = ReductionParams.official_for(3, 3)
+    assert ReductionParams.official_for(3, 3, M=7) == ReductionParams(3, 3, official.K, 7)
+    # M follows an overridden K
+    assert ReductionParams.official_for(3, 3, K=2) == ReductionParams(3, 3, 2, 35 ** 2 + 1)
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        ReductionParams.official_for(3, 3, K=0)
 
 
 def test_check_bounds_small_overrides():

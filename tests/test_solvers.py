@@ -6,6 +6,7 @@ import pytest
 
 from oracle import naive_total_for_schedule
 
+from mret import solvers
 from mret.astra import greedy_pair
 from mret.errors import ScaleLimitError
 from mret.generators import gen_random_sc
@@ -152,6 +153,15 @@ def test_arborescence_certificate_bound():
         in_size, out_size = res.certificate
         assert res.best_total >= in_size * out_size >= max(in_size, out_size)
         assert evaluate_schedule(g, res.best_schedule).total == res.best_total
+
+
+def test_arborescence_raises_below_certificate(monkeypatch):
+    # a kernel that loses every merge leaves total = n = 2 < 2 * 2
+    monkeypatch.setattr(
+        solvers, "_propagate", lambda n, edges, order, ends=None: [1 << v for v in range(n)]
+    )
+    with pytest.raises(RuntimeError, match="below its certificate"):
+        solve_arborescence(dcycle(2), root=0)
 
 
 def test_arborescence_order_structure():
