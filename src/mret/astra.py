@@ -4,8 +4,10 @@ The objective throughout is max-min: find an out-arborescence and an
 in-arborescence that are rooted at the same node, share no edge, and
 maximize the smaller of the two spanned node counts (both counts
 include the root).  `greedy_pair` is a fast heuristic built on residual
-breadth-first searches; `exact_pair` enumerates out-trees with pruning
-and is the small-scale ground truth; `best_root` sweeps all roots.
+breadth-first searches; `greedy_pairs` runs it over many roots, checking
+strong connectivity and building the shuffled attempt orders once per
+(graph, seed); `exact_pair` enumerates out-trees with pruning and is the
+small-scale ground truth; `best_root` sweeps all roots.
 
 Self-loops can never sit on an arborescence; the searches here simply
 never pick them.
@@ -14,11 +16,11 @@ never pick them.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ScaleLimitError
-from .graphs import Digraph, is_strongly_connected
+from .graphs import Digraph, bfs_tree, is_strongly_connected
 
 GREEDY_RANDOM_ATTEMPTS = 6
 
@@ -67,31 +69,80 @@ class AstraReport:
         }
 
 
-def _require_pair_input(g: Digraph, root: int) -> None:
+def _require_root(g: Digraph, root: int) -> None:
     if not 0 <= root < g.node_count:
         raise ValueError(f"root {root} out of range for {g.node_count} nodes")
+
+
+def _require_pair_graph(g: Digraph) -> None:
+    if g.node_count == 0:
+        raise ValueError("digraph has no nodes")
     if not is_strongly_connected(g):
         raise ValueError("digraph is not strongly connected")
 
 
-def _grow_tree(adj, root: int, banned) -> tuple[frozenset[int], frozenset[int], dict[int, int]]:
-    """BFS tree over `adj` rows of (neighbor, edge_index), skipping banned edges.
+def _attempt_orders(g: Digraph, seed: int) -> list[tuple]:
+    """The (forward, reverse) neighbour orders of every greedy attempt.
 
-    Returns (tree edge indices, spanned nodes, node depths).  With the
-    forward adjacency this grows an out-arborescence, with the reverse
-    adjacency an in-arborescence.
+    Attempt 0 uses the edge order; each later attempt shuffles every row
+    of the previous attempt's forward, then reverse, adjacency with one
+    `random.Random(seed)`.  The orders depend only on the graph and the
+    seed, so a root sweep builds them once.
     """
-    depths = {root: 0}
-    tree_edges = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, ei in adj[u]:
-            if v not in depths and ei not in banned:
-                depths[v] = depths[u] + 1
-                tree_edges.append(ei)
-                queue.append(v)
-    return frozenset(tree_edges), frozenset(depths), depths
+    rng = random.Random(seed)
+    fwd, rev = g.out_adj, g.in_adj
+    orders = [(fwd, rev)]
+    for _ in range(GREEDY_RANDOM_ATTEMPTS):
+        fwd = [list(row) for row in fwd]
+        for row in fwd:
+            rng.shuffle(row)
+        rev = [list(row) for row in rev]
+        for row in rev:
+            rng.shuffle(row)
+        orders.append((fwd, rev))
+    return orders
+
+
+def _pair(root: int, out_tree, in_tree) -> ArborescencePair:
+    """The pair of two `bfs_tree`-shaped (nodes, tree edges, depth) trees."""
+    (out_nodes, out_edges, out_depth), (in_nodes, in_edges, in_depth) = out_tree, in_tree
+    return ArborescencePair(
+        root, frozenset(out_edges), frozenset(in_edges), frozenset(out_nodes), frozenset(in_nodes),
+        {v: out_depth[v] for v in out_nodes}, {v: in_depth[v] for v in in_nodes},
+    )
+
+
+def _greedy_best(root: int, orders) -> ArborescencePair:
+    best_key = (-1, -1)
+    for fwd, rev in orders:
+        for in_first in (True, False):
+            if in_first:
+                in_tree = bfs_tree(rev, (root,))
+                out_tree = bfs_tree(fwd, (root,), set(in_tree[1]))
+            else:
+                out_tree = bfs_tree(fwd, (root,))
+                in_tree = bfs_tree(rev, (root,), set(out_tree[1]))
+            out_size, in_size = len(out_tree[0]), len(in_tree[0])
+            key = (min(out_size, in_size), out_size + in_size)
+            if key > best_key:
+                best_key, best = key, (out_tree, in_tree)
+    return _pair(root, *best)
+
+
+def greedy_pairs(g: Digraph, roots, seed: int = 0) -> Iterator[ArborescencePair]:
+    """Yield `greedy_pair(g, r, seed)` for every r in `roots`, in order.
+
+    The roots are validated, connectivity is checked and the attempt
+    orders are built once for the whole sweep; per root only the trees
+    are grown.
+    """
+    roots = list(roots)
+    for root in roots:
+        _require_root(g, root)
+    _require_pair_graph(g)
+    orders = _attempt_orders(g, seed)
+    for root in roots:
+        yield _greedy_best(root, orders)
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
@@ -101,35 +152,7 @@ def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
     keeps the attempt with the largest min-size (ties by larger total
     span, then first found).  Deterministic for a given seed.
     """
-    _require_pair_input(g, root)
-    rng = random.Random(seed)
-    fwd = [list(row) for row in g.out_adj]
-    rev = [list(row) for row in g.in_adj]
-
-    def attempt(in_first: bool) -> ArborescencePair:
-        if in_first:
-            in_e, in_n, in_d = _grow_tree(rev, root, frozenset())
-            out_e, out_n, out_d = _grow_tree(fwd, root, in_e)
-        else:
-            out_e, out_n, out_d = _grow_tree(fwd, root, frozenset())
-            in_e, in_n, in_d = _grow_tree(rev, root, out_e)
-        return ArborescencePair(root, out_e, in_e, out_n, in_n, out_d, in_d)
-
-    best: ArborescencePair | None = None
-    for _ in range(1 + GREEDY_RANDOM_ATTEMPTS):
-        for in_first in (True, False):
-            cand = attempt(in_first)
-            if best is None or (
-                cand.min_size,
-                len(cand.out_nodes) + len(cand.in_nodes),
-            ) > (best.min_size, len(best.out_nodes) + len(best.in_nodes)):
-                best = cand
-        for row in fwd:
-            rng.shuffle(row)
-        for row in rev:
-            rng.shuffle(row)
-    assert best is not None
-    return best
+    return next(greedy_pairs(g, (root,), seed))
 
 
 def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
@@ -143,7 +166,8 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     Ties break toward larger total span, then lexicographically smaller
     edge sets.
     """
-    _require_pair_input(g, root)
+    _require_root(g, root)
+    _require_pair_graph(g)
     if g.edge_count > limit:
         raise ScaleLimitError(
             f"exact pair search infeasible at this scale: "
@@ -153,48 +177,23 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     fwd = g.out_adj
     rev = g.in_adj
 
-    best_sizes: tuple[int, int] | None = None
-    best_edge_sets: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    best_pair: ArborescencePair | None = None
+    best = None  # (sizes, sorted edge lists, pair) of the incumbent
 
     def consider(tree_edges: list[int], tree_nodes: set[int], depths: dict[int, int]):
-        nonlocal best_sizes, best_edge_sets, best_pair
-        in_e, in_n, in_d = _grow_tree(rev, root, frozenset(tree_edges))
-        sizes = (min(len(tree_nodes), len(in_n)), len(tree_nodes) + len(in_n))
-        edge_sets = (tuple(sorted(tree_edges)), tuple(sorted(in_e)))
-        if (
-            best_sizes is None
-            or sizes > best_sizes
-            or (sizes == best_sizes and edge_sets < best_edge_sets)
-        ):
-            best_sizes = sizes
-            best_edge_sets = edge_sets
-            best_pair = ArborescencePair(
-                root,
-                frozenset(tree_edges),
-                in_e,
-                frozenset(tree_nodes),
-                in_n,
-                dict(depths),
-                in_d,
-            )
-        return len(in_n)
-
-    def out_reachable(tree_nodes: set[int], banned: set[int]) -> int:
-        seen = set(tree_nodes)
-        stack = list(tree_nodes)
-        while stack:
-            u = stack.pop()
-            for v, ei in fwd[u]:
-                if v not in seen and ei not in banned:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen)
+        nonlocal best
+        in_tree = bfs_tree(rev, (root,), frozenset(tree_edges))
+        in_size = len(in_tree[0])
+        sizes = (min(len(tree_nodes), in_size), len(tree_nodes) + in_size)
+        if best is None or sizes >= best[0]:
+            edge_sets = (sorted(tree_edges), sorted(in_tree[1]))
+            if best is None or sizes > best[0] or edge_sets < best[1]:
+                best = (sizes, edge_sets, _pair(root, (tree_nodes, tree_edges, depths), in_tree))
+        return in_size
 
     def visit(tree_edges: list[int], tree_nodes: set[int], depths: dict[int, int], banned: set[int]):
         in_size = consider(tree_edges, tree_nodes, depths)
-        assert best_sizes is not None
-        if min(out_reachable(tree_nodes, banned), in_size) < best_sizes[0]:
+        out_reach = len(bfs_tree(fwd, tree_nodes, banned)[0])
+        if min(out_reach, in_size) < best[0][0]:
             # every extension keeps out-span within the residual reach and
             # can only shrink the in-span, so none can tie the incumbent
             return
@@ -218,8 +217,7 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
             child_banned.add(ei)
 
     visit([], {root}, {root: 0}, set())
-    assert best_pair is not None
-    return best_pair
+    return best[2]
 
 
 def best_root(
@@ -228,13 +226,12 @@ def best_root(
     """Run the chosen pair search from every root and report the argmax."""
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
-    per_root = []
-    for r in range(g.node_count):
-        if method == "exact":
-            pair = exact_pair(g, r, limit=limit)
-        else:
-            pair = greedy_pair(g, r, seed=seed)
-        per_root.append(pair.min_size)
+    _require_pair_graph(g)
+    if method == "exact":
+        pairs = (exact_pair(g, r, limit=limit) for r in range(g.node_count))
+    else:
+        pairs = greedy_pairs(g, range(g.node_count), seed=seed)
+    per_root = [pair.min_size for pair in pairs]
     best = max(range(g.node_count), key=lambda r: (per_root[r], -r))
     return AstraReport(
         method=method,

@@ -144,9 +144,8 @@ def cmd_reduce(args, run: _Run) -> dict:
 
 
 def cmd_certify(args, run: _Run) -> dict:
-    for suffix in (".digraph", ".roles", ".manifest.json"):
-        run.read(args.prefix + suffix)
-    inst = load_instance(args.prefix)
+    suffixes = (".digraph", ".roles", ".manifest.json")
+    inst = load_instance(args.prefix, [run.read(args.prefix + s) for s in suffixes])
     if args.assignment is not None:
         bits = parse_assignment(args.assignment, inst.formula.variable_count)
         schedule = schedule_from_assignment(inst, bits)

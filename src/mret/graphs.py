@@ -22,7 +22,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,19 +233,28 @@ def parse_times(text: str, edge_count: int) -> Temporalisation:
     return parse_timing(text, edge_count, "times")
 
 
-def _reaches_all(start: int, adj) -> bool:
-    seen = bytearray(len(adj))
-    seen[start] = 1
-    count = 1
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == len(adj)
+def bfs_tree(adj, sources, banned=frozenset()) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search over `adj` rows of (neighbour, edge index).
+
+    Starts from the distinct `sources` and never crosses an edge in
+    `banned`.  Returns (order, tree_edges, depth): the reached nodes in
+    visit order, sources first; the edge that reached each later node of
+    `order`; and per node its distance from the sources, -1 if unreached.
+    """
+    depth = [-1] * len(adj)
+    order = list(sources)
+    for s in order:
+        depth[s] = 0
+    tree_edges = []
+    # the queue is `order` itself: the loop reaches the nodes appended to it
+    for u in order:
+        d = depth[u] + 1
+        for v, ei in adj[u]:
+            if depth[v] < 0 and ei not in banned:
+                depth[v] = d
+                tree_edges.append(ei)
+                order.append(v)
+    return order, tree_edges, depth
 
 
 def is_strongly_connected(g: Digraph) -> bool:
@@ -254,6 +262,5 @@ def is_strongly_connected(g: Digraph) -> bool:
 
     Linear time: node 0 must reach all nodes forwards and backwards.
     """
-    if g.node_count <= 1:
-        return True
-    return _reaches_all(0, g.out_adj) and _reaches_all(0, g.in_adj)
+    n = g.node_count
+    return n <= 1 or all(len(bfs_tree(adj, [0])[0]) == n for adj in (g.out_adj, g.in_adj))

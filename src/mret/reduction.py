@@ -27,13 +27,7 @@ from typing import Sequence
 
 from .cnf import CnfFormula
 from .errors import ParseError
-from .graphs import (
-    Digraph,
-    Schedule,
-    format_digraph,
-    is_strongly_connected,
-    parse_digraph,
-)
+from .graphs import Digraph, Schedule, format_digraph, parse_digraph
 from .reachability import total_reachability
 
 
@@ -347,20 +341,26 @@ def write_instance(inst: ReductionInstance, prefix: str | Path) -> list[Path]:
     return [graph_path, roles_path, manifest_path]
 
 
-def load_instance(prefix: str | Path) -> ReductionInstance:
+def load_instance(prefix: str | Path, texts: Sequence[str] | None = None) -> ReductionInstance:
     """Rebuild an instance from its files and verify their consistency.
 
     The formula is recovered from the clause-entry edges, the instance
     is rebuilt from scratch, and the stored graph and roles must match
-    the rebuild exactly.
+    the rebuild exactly.  `texts` are the contents of the digraph, roles
+    and manifest files when the caller has already read them; otherwise
+    each file is read once, when it is parsed.
     """
-    graph_path, roles_path, manifest_path = _instance_paths(prefix)
+    graph_path, roles_path, manifest_path = paths = _instance_paths(prefix)
+
+    def text(i: int) -> str:
+        return paths[i].read_text() if texts is None else texts[i]
+
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(text(2))
         n, m, K, M = (int(manifest[k]) for k in ("n", "m", "K", "M"))
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
-    g = parse_digraph(graph_path.read_text())
+    g = parse_digraph(text(0))
     lay = _Layout(ReductionParams(n, m, K, M))
 
     literals: dict[int, list[tuple[int, bool]]] = {j: [] for j in range(1, m + 1)}
@@ -381,7 +381,7 @@ def load_instance(prefix: str | Path) -> ReductionInstance:
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     roles = tuple(
         line.split(maxsplit=1)[1]
-        for line in roles_path.read_text().splitlines()
+        for line in text(1).splitlines()
         if line.strip()
     )
     if roles != rebuilt.roles:

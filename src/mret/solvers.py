@@ -17,9 +17,9 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .astra import ArborescencePair, greedy_pair
+from .astra import ArborescencePair, greedy_pairs
 from .errors import ScaleLimitError
-from .graphs import Digraph, Schedule, is_strongly_connected
+from .graphs import Digraph, Schedule
 from .reachability import _propagate
 
 
@@ -149,19 +149,15 @@ def solve_arborescence(
     the in-tree brings its nodes to the root before any out-edge fires.
     """
     _reject_self_loops(g)
-    if not is_strongly_connected(g):
-        raise ValueError("digraph is not strongly connected")
     roots = range(g.node_count) if root is None else [root]
     best: tuple[int, tuple[int, ...], ArborescencePair] | None = None
     explored = 0
-    for r in roots:
-        pair = greedy_pair(g, r, seed=seed)
+    for pair in greedy_pairs(g, roots, seed=seed):
         order = arborescence_order(g, pair)
         total = sum(map(int.bit_count, _propagate(g.node_count, g.edges, order)))
         explored += 1
         if best is None or total > best[0]:
             best = (total, order, pair)
-    assert best is not None
     total, order, pair = best
     certificate = (len(pair.in_nodes), len(pair.out_nodes))
     if total < certificate[0] * certificate[1]:

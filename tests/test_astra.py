@@ -10,6 +10,7 @@ from mret.astra import best_root, check_pair, exact_pair, greedy_pair
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import Digraph
+from mret.solvers import solve_arborescence
 
 
 def dcycle(n):
@@ -210,3 +211,92 @@ def test_self_loops_are_inert():
     check_pair(g, pair)
     assert pair.min_size == 2
     assert 2 not in pair.out_edges and 2 not in pair.in_edges
+
+
+# Greedy sweep results frozen from the implementation that rebuilt and
+# reshuffled the neighbour orders inside every greedy_pair call; the
+# shared-order sweep must reproduce them exactly.
+# (extra, graph seed, solver seed) of gen_random_sc(40, extra) ->
+# (best_total, schedule, certificate)
+ARB_GOLDEN = {
+    (120, 0, 0): (
+        1600,
+        (
+            130, 8, 80, 1, 9, 21, 31, 52, 59, 67, 123, 138, 153, 5, 10, 16, 23, 27,
+            63, 87, 89, 102, 117, 122, 129, 156, 157, 28, 48, 49, 66, 133, 140, 145,
+            147, 36, 97, 107, 136, 37, 108, 151, 19, 25, 38, 55, 58, 68, 69, 70, 72,
+            88, 91, 104, 131, 6, 22, 26, 35, 50, 53, 56, 61, 90, 93, 96, 100, 103,
+            109, 124, 126, 128, 137, 155, 2, 84, 94, 98, 0, 3, 4, 7, 11, 12, 13, 14,
+            15, 17, 18, 20, 24, 29, 30, 32, 33, 34, 39, 40, 41, 42, 43, 44, 45, 46,
+            47, 51, 54, 57, 60, 62, 64, 65, 71, 73, 74, 75, 76, 77, 78, 79, 81, 82,
+            83, 85, 86, 92, 95, 99, 101, 105, 106, 110, 111, 112, 113, 114, 115,
+            116, 118, 119, 120, 121, 125, 127, 132, 134, 135, 139, 141, 142, 143,
+            144, 146, 148, 149, 150, 152, 154, 158, 159,
+        ),
+        (40, 40),
+    ),
+    (120, 1, 3): (
+        1600,
+        (
+            86, 87, 90, 91, 152, 1, 8, 17, 22, 24, 28, 30, 44, 66, 67, 100, 106,
+            111, 127, 141, 2, 10, 12, 33, 40, 46, 57, 78, 80, 110, 114, 117, 121,
+            137, 34, 48, 71, 85, 140, 35, 36, 99, 37, 74, 97, 135, 19, 38, 45, 82,
+            83, 88, 122, 132, 5, 11, 21, 39, 51, 55, 81, 84, 95, 123, 155, 0, 7, 13,
+            23, 26, 32, 76, 119, 125, 156, 15, 43, 103, 3, 4, 6, 9, 14, 16, 18, 20,
+            25, 27, 29, 31, 41, 42, 47, 49, 50, 52, 53, 54, 56, 58, 59, 60, 61, 62,
+            63, 64, 65, 68, 69, 70, 72, 73, 75, 77, 79, 89, 92, 93, 94, 96, 98, 101,
+            102, 104, 105, 107, 108, 109, 112, 113, 115, 116, 118, 120, 124, 126,
+            128, 129, 130, 131, 133, 134, 136, 138, 139, 142, 143, 144, 145, 146,
+            147, 148, 149, 150, 151, 153, 154, 157, 158, 159,
+        ),
+        (40, 40),
+    ),
+    (40, 1, 2): (
+        1070,
+        (
+            39, 0, 1, 35, 4, 45, 66, 73, 5, 17, 21, 37, 6, 22, 25, 30, 32, 42, 44,
+            53, 55, 7, 23, 26, 33, 46, 78, 8, 27, 72, 75, 9, 28, 10, 57, 11, 12, 13,
+            14, 15, 49, 62, 77, 16, 24, 58, 65, 41, 43, 54, 18, 64, 19, 20, 2, 3,
+            29, 31, 34, 36, 38, 40, 47, 48, 50, 51, 52, 56, 59, 60, 61, 63, 67, 68,
+            69, 70, 71, 74, 76, 79,
+        ),
+        (40, 16),
+    ),
+    (20, 0, 2): (
+        796,
+        (
+            53, 5, 21, 41, 57, 6, 43, 56, 7, 42, 46, 8, 9, 10, 11, 12, 13, 14, 15,
+            59, 16, 26, 50, 0, 17, 27, 45, 52, 1, 18, 22, 28, 31, 40, 2, 19, 23, 29,
+            32, 55, 20, 24, 33, 47, 4, 34, 35, 36, 37, 38, 3, 25, 30, 39, 44, 48,
+            49, 51, 54, 58,
+        ),
+        (12, 40),
+    ),
+}
+
+
+def test_solve_arborescence_golden():
+    for (extra, graph_seed, seed), (total, order, cert) in ARB_GOLDEN.items():
+        res = solve_arborescence(gen_random_sc(40, extra, seed=graph_seed), seed=seed)
+        assert (res.best_total, res.best_schedule.order, res.certificate) == (
+            total,
+            order,
+            cert,
+        )
+
+
+def test_best_root_greedy_golden():
+    fig = best_root(gen_fig3(5)[0], "greedy", seed=1)
+    assert fig.per_root == (4, 4, 3, 3, 3, 3, 3, 3) + (2,) * 15
+    rep = best_root(gen_random_sc(30, 15, seed=4), "greedy", seed=3)
+    assert rep.per_root == (
+        4, 5, 6, 5, 4, 6, 6, 4, 5, 4, 4, 5, 5, 5, 6,
+        3, 4, 7, 5, 3, 3, 4, 4, 3, 3, 3, 4, 3, 7, 4,
+    )
+    assert rep.best_root == 17
+
+
+def test_greedy_pair_golden():
+    pair = greedy_pair(gen_random_sc(12, 30, seed=2), 3, seed=7)
+    assert sorted(pair.out_edges) == [2, 3, 8, 21, 22, 23, 27, 30, 37, 39, 40]
+    assert sorted(pair.in_edges) == [0, 1, 6, 10, 11, 12, 20, 24, 31, 33, 38]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +187,24 @@ def test_certify_unsatisfying_assignment(instance_prefix, capsys):
     assert "satisfy" in err
 
 
+def test_certify_reads_each_instance_file_once(instance_prefix, monkeypatch, capsys):
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        original = getattr(Path, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            reads.append(str(self))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    report = run_json(["certify", instance_prefix, "--assignment", "FTT"], capsys)
+    # the digests in the manifest are of the very bytes that were parsed
+    assert sorted(reads) == sorted(report["run"]["inputs"])
+    assert sorted(reads) == sorted(
+        instance_prefix + s for s in (".digraph", ".roles", ".manifest.json")
+    )
+
+
 def test_certify_schedule_file(instance_prefix, tmp_path, capsys):
     sched = tmp_path / "rev.sched"
     sched.write_text(" ".join(str(i) for i in reversed(range(72))) + "\n")
@@ -241,6 +260,40 @@ def test_astra_rejects_disconnected(tmp_path, capsys):
     code, _, err = run_cli(["astra", str(path)], capsys)
     assert code == 1
     assert "strongly connected" in err
+
+
+@pytest.fixture
+def empty_graph(tmp_path):
+    path = tmp_path / "empty.digraph"
+    path.write_text("0 0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--method", "arb"],
+        ["astra", "--method", "greedy"],
+        ["astra", "--method", "exact"],
+    ],
+)
+def test_empty_graph_refused(empty_graph, args, capsys):
+    code, out, err = run_cli([args[0], empty_graph, *args[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: digraph has no nodes\n"
+
+
+def test_empty_graph_refused_under_optimize(empty_graph):
+    # python -O strips asserts, so the refusal must not rest on one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mret.cli", "solve", empty_graph, "--method", "arb"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: digraph has no nodes\n"
+    assert "Traceback" not in proc.stderr
 
 
 GOLDEN_FIG3_K1 = (

@@ -5,6 +5,7 @@ from mret.graphs import (
     Digraph,
     Schedule,
     Temporalisation,
+    bfs_tree,
     format_digraph,
     format_schedule,
     format_temporal_graph,
@@ -131,3 +132,12 @@ def test_strongly_connected_examples():
     assert is_strongly_connected(parse_digraph("1 0"))
     assert not is_strongly_connected(parse_digraph("2 0"))
     assert is_strongly_connected(parse_digraph("4 4\n0 1\n1 2\n2 3\n3 0"))
+
+
+def test_bfs_tree_sources_and_banned_edges():
+    g = parse_digraph("4 4\n0 1\n1 2\n2 3\n3 0")
+    assert bfs_tree(g.out_adj, [0]) == ([0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 3])
+    assert bfs_tree(g.in_adj, [0]) == ([0, 3, 2, 1], [3, 2, 1], [0, 3, 2, 1])
+    # two sources at depth 0; the banned edge 1 -> 2 is never crossed
+    assert bfs_tree(g.out_adj, [0, 2], {1}) == ([0, 2, 1, 3], [0, 2], [0, 1, 0, 1])
+    assert bfs_tree(g.out_adj, [1], {1}) == ([1], [], [-1, 0, -1, -1])

@@ -1,15 +1,18 @@
-"""Algebraic properties of the engine and the file formats, by Hypothesis.
+"""Algebraic properties of the engine, the file formats and the
+arborescence-pair searches, by Hypothesis.
 
 Evaluated graphs stay small (n <= 5, m <= 7) so the subset-enumeration
-oracle remains cheap; self-loops and parallel edges are allowed
-throughout.
+oracle remains cheap, and the arborescence-pair comparison stays at
+n <= 6, m <= 9 so the 3^m labeling oracle does; self-loops and parallel
+edges are allowed throughout.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_reach_pairs
+from oracle import best_pair_by_labeling, naive_reach_pairs
 
+from mret.astra import check_pair, exact_pair, greedy_pair, greedy_pairs
 from mret.graphs import (
     Digraph,
     Schedule,
@@ -40,6 +43,17 @@ def digraphs(draw, max_nodes=5, max_edges=7):
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=max_edges))
     return Digraph(n, tuple(edges))
+
+
+@st.composite
+def strongly_connected(draw, min_nodes=1, max_nodes=6, max_edges=9):
+    """A Hamiltonian cycle through a random node order plus extra edges."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    cycle = draw(st.permutations(range(n)))
+    edges = [(cycle[i], cycle[(i + 1) % n]) for i in range(n)] if n > 1 else []
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=max_edges - len(edges)))
+    return Digraph(n, tuple(draw(st.permutations(edges))))
 
 
 @st.composite
@@ -181,3 +195,27 @@ def test_times_round_trip(gt):
     # labels are >= 1, so a times file is never read as a schedule
     expected = Schedule(()) if g.edge_count == 0 else t
     assert parse_timing(text, g.edge_count) == expected
+
+
+@check
+@given(strongly_connected(max_nodes=8, max_edges=16), st.integers(0, 2**16))
+def test_greedy_sweep_matches_single_roots(g, seed):
+    roots = range(g.node_count)
+    swept = list(greedy_pairs(g, roots, seed))
+    assert swept == [greedy_pair(g, r, seed) for r in roots]
+    for pair in swept:
+        check_pair(g, pair)
+
+
+@settings(check, max_examples=30)
+@given(st.data())
+def test_exact_pair_matches_labeling_oracle(data):
+    g = data.draw(strongly_connected(min_nodes=4))
+    root = data.draw(st.integers(0, g.node_count - 1))
+    pair = exact_pair(g, root)
+    check_pair(g, pair)
+    best_min, out_size, in_size = best_pair_by_labeling(g.node_count, g.edges, root)
+    assert (pair.min_size, len(pair.out_nodes) + len(pair.in_nodes)) == (
+        best_min,
+        out_size + in_size,
+    )
