@@ -28,6 +28,7 @@ from .generators import gen_fig3, gen_random_sc
 from .graphs import (
     Schedule,
     format_digraph,
+    format_roles,
     format_schedule,
     parse_digraph,
     parse_schedule,
@@ -46,6 +47,7 @@ from .reduction import (
     certify,
     check_bounds,
     instance_manifest,
+    instance_paths,
     load_instance,
     schedule_from_assignment,
     write_instance,
@@ -144,8 +146,7 @@ def cmd_reduce(args, run: _Run) -> dict:
 
 
 def cmd_certify(args, run: _Run) -> dict:
-    suffixes = (".digraph", ".roles", ".manifest.json")
-    inst = load_instance(args.prefix, [run.read(args.prefix + s) for s in suffixes])
+    inst = load_instance(args.prefix, [run.read(p) for p in instance_paths(args.prefix)])
     if args.assignment is not None:
         bits = parse_assignment(args.assignment, inst.formula.variable_count)
         schedule = schedule_from_assignment(inst, bits)
@@ -215,9 +216,7 @@ def cmd_gen(args, run: _Run) -> dict:
         run.wrote(args.out)
         if roles is not None:
             roles_path = args.out + ".roles"
-            Path(roles_path).write_text(
-                "".join(f"{i} {r}\n" for i, r in enumerate(roles))
-            )
+            Path(roles_path).write_text(format_roles(roles))
             run.wrote(roles_path)
     else:
         result["digraph"] = format_digraph(g)

@@ -15,6 +15,7 @@ with single spaces and no trailing whitespace):
 * temporal-graph file: ``n m`` header, then m lines ``tail head time``
 * schedule file:       one line of m whitespace-separated edge indices
 * times file:          one line of m whitespace-separated labels >= 1
+* roles file:          line i (from 0) is ``i role``, the name of node i
 
 Lines starting with ``#`` are ignored on input.  All objects here are
 immutable after construction and safe to share across threads.
@@ -176,6 +177,22 @@ def format_temporal_graph(g: Digraph, t: Temporalisation) -> str:
     lines = [f"{g.node_count} {g.edge_count}"]
     lines.extend(f"{a} {b} {lab}" for (a, b), lab in zip(g.edges, t.times))
     return "\n".join(lines) + "\n"
+
+
+def parse_roles(text: str) -> tuple[str, ...]:
+    """Parse a roles file; a line without a role or out of id order is
+    refused with its line number."""
+    roles: list[str] = []
+    for lineno, line in _data_lines(text):
+        parts = line.split(maxsplit=1)
+        if len(parts) != 2 or parts[0] != str(len(roles)):
+            raise ParseError(f"expected a '{len(roles)} <role>' line, got {line!r}", lineno)
+        roles.append(parts[1])
+    return tuple(roles)
+
+
+def format_roles(roles) -> str:
+    return "".join(f"{i} {role}\n" for i, role in enumerate(roles))
 
 
 # kind -> (type built, name of one value, name of several)

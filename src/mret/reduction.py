@@ -14,20 +14,29 @@ variable i: t_i^1,t_i^2,f_i^1,f_i^2; then per clause j: c_j^1,c_j^2,
 d_j^1..d_j^K,e_j^1..e_j^K.
 
 Edge emission order: variable 4-cycles; clause-literal attachments;
-inter-clause (c_j^1,c_h^2) edges; d/e attachments; block edges.  The
-schedule phases rely on this order being stable.
+inter-clause (c_j^1,c_h^2) edges; d/e attachments; block edges.  Each
+edge's schedule phase is recorded when the edge is emitted
+(`ReductionInstance.phases`), so the schedule never re-derives it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .cnf import CnfFormula
 from .errors import ParseError
-from .graphs import Digraph, Schedule, format_digraph, parse_digraph
+from .graphs import (
+    Digraph,
+    Schedule,
+    format_digraph,
+    format_roles,
+    parse_digraph,
+    parse_roles,
+)
 from .reachability import total_reachability
 
 
@@ -138,17 +147,10 @@ class _Layout:
     def b(self, i: int) -> int:  # i in 1..M
         return 4 + (i - 1)
 
-    def t1(self, i: int) -> int:  # i in 1..n
-        return self.var_base + 4 * (i - 1)
-
-    def t2(self, i: int) -> int:
-        return self.t1(i) + 1
-
-    def f1(self, i: int) -> int:
-        return self.t1(i) + 2
-
-    def f2(self, i: int) -> int:
-        return self.t1(i) + 3
+    def gadget(self, i: int) -> range:  # i in 1..n
+        """The ids t_i^1, t_i^2, f_i^1, f_i^2."""
+        start = self.var_base + 4 * (i - 1)
+        return range(start, start + 4)
 
     def c1(self, j: int) -> int:  # j in 1..m
         return self.clause_base + self.clause_stride * (j - 1)
@@ -182,6 +184,13 @@ class ReductionInstance:
     params: ReductionParams
     formula: CnfFormula
     bounds: tuple[int, int, int]  # (L, U1, U2)
+    phases: tuple[tuple[range, ...], ...]
+    """The eleven schedule phases, each as the runs of edge indices
+    emitted for it, in edge order: (b,u1); (u1,u2); (u2,d); (d,c1); out
+    of c1 (gadget entries and (c_j^1,c_h^2)); the variable gadgets, one
+    run of four edges per variable; gadget exits into c2; (c2,e); (e,u3);
+    (u3,u4); (u4,b).
+    """
 
 
 def build_instance(
@@ -191,42 +200,42 @@ def build_instance(
 ) -> ReductionInstance:
     n, m = f.variable_count, f.clause_count
     params = ReductionParams.official_for(n, m, K=k_override, M=m_override)
-    M = params.M
+    K, M = params.K, params.M
     lay = _Layout(params)
-
     edges: list[tuple[int, int]] = []
+    phases: list[list[range]] = [[] for _ in range(11)]
+
+    def emit(phase: int, pairs: list[tuple[int, int]]) -> None:
+        start = len(edges)
+        edges.extend(pairs)
+        phases[phase].append(range(start, len(edges)))
+
     for i in range(1, n + 1):
-        edges += [
-            (lay.t1(i), lay.f2(i)),
-            (lay.f2(i), lay.f1(i)),
-            (lay.f1(i), lay.t2(i)),
-            (lay.t2(i), lay.t1(i)),
-        ]
+        t1, t2, f1, f2 = lay.gadget(i)
+        emit(5, [(t1, f2), (f2, f1), (f1, t2), (t2, t1)])
     for j, clause in enumerate(f.clauses, start=1):
         for v, positive in clause:
-            i = v + 1
-            if positive:
-                edges += [(lay.c1(j), lay.t1(i)), (lay.t2(i), lay.c2(j))]
-            else:
-                edges += [(lay.c1(j), lay.f1(i)), (lay.f2(i), lay.c2(j))]
+            t1, t2, f1, f2 = lay.gadget(v + 1)
+            into, out = (t1, t2) if positive else (f1, f2)
+            emit(4, [(lay.c1(j), into)])
+            emit(6, [(out, lay.c2(j))])
     for j in range(1, m + 1):
-        edges += [(lay.c1(j), lay.c2(h)) for h in range(1, m + 1) if h != j]
+        emit(4, [(lay.c1(j), lay.c2(h)) for h in range(1, m + 1) if h != j])
     for j in range(1, m + 1):
-        edges += [(lay.d(j, l), lay.c1(j)) for l in range(1, params.K + 1)]
-        edges += [(lay.c2(j), lay.e(j, l)) for l in range(1, params.K + 1)]
-    edges += [(lay.b(i), lay.U1) for i in range(1, M + 1)]
-    edges.append((lay.U1, lay.U2))
-    for j in range(1, m + 1):
-        edges += [(lay.U2, lay.d(j, l)) for l in range(1, params.K + 1)]
-    for j in range(1, m + 1):
-        edges += [(lay.e(j, l), lay.U3) for l in range(1, params.K + 1)]
-    edges.append((lay.U3, lay.U4))
-    edges += [(lay.U4, lay.b(i)) for i in range(1, M + 1)]
+        emit(3, [(lay.d(j, l), lay.c1(j)) for l in range(1, K + 1)])
+        emit(7, [(lay.c2(j), lay.e(j, l)) for l in range(1, K + 1)])
+    emit(0, [(lay.b(i), lay.U1) for i in range(1, M + 1)])
+    emit(1, [(lay.U1, lay.U2)])
+    emit(2, [(lay.U2, lay.d(j, l)) for j in range(1, m + 1) for l in range(1, K + 1)])
+    emit(8, [(lay.e(j, l), lay.U3) for j in range(1, m + 1) for l in range(1, K + 1)])
+    emit(9, [(lay.U3, lay.U4)])
+    emit(10, [(lay.U4, lay.b(i)) for i in range(1, M + 1)])
 
     g = Digraph(params.node_count, tuple(edges))
-    assert g.edge_count == params.edge_count
+    if g.edge_count != params.edge_count:
+        raise RuntimeError(f"built {g.edge_count} edges, {params} needs {params.edge_count}")
     bounds = (lower_bound(params), upper_bound_one(params), upper_bound_two(params))
-    return ReductionInstance(g, lay.roles(), params, f, bounds)
+    return ReductionInstance(g, lay.roles(), params, f, bounds, tuple(map(tuple, phases)))
 
 
 def variable_gadget_activation(times: Sequence[int]) -> tuple[bool, bool]:
@@ -255,45 +264,11 @@ def schedule_from_assignment(
     """
     if not inst.formula.satisfies(assignment):
         raise ValueError("assignment does not satisfy the formula")
-    p = inst.params
-    lay = _Layout(p)
-    var_lo, var_hi = lay.var_base, lay.var_base + 4 * p.n
-    phases: list[list[int]] = [[] for _ in range(11)]
-
-    def clause_off(v: int) -> int:
-        return (v - lay.clause_base) % lay.clause_stride
-
-    for idx, (a, b) in enumerate(inst.digraph.edges):
-        if var_lo <= a < var_hi and var_lo <= b < var_hi:
-            continue  # variable gadgets are laid out separately below
-        if b == lay.U1:
-            phases[0].append(idx)
-        elif a == lay.U1:
-            phases[1].append(idx)
-        elif a == lay.U2:
-            phases[2].append(idx)
-        elif a >= lay.clause_base and clause_off(a) >= 2 + p.K:
-            phases[8].append(idx)  # (e, u3)
-        elif a == lay.U3:
-            phases[9].append(idx)
-        elif a == lay.U4:
-            phases[10].append(idx)
-        elif a >= lay.clause_base and clause_off(a) >= 2:
-            phases[3].append(idx)  # (d, c1)
-        elif a >= lay.clause_base and clause_off(a) == 0:
-            phases[4].append(idx)  # out of c1: gadget entries and dashed
-        elif a >= lay.clause_base and clause_off(a) == 1:
-            phases[7].append(idx)  # (c2, e)
-        else:
-            assert var_lo <= a < var_hi and b >= lay.clause_base
-            phases[6].append(idx)  # gadget exits into c2
-    for i in range(1, p.n + 1):
-        base = 4 * (i - 1)
-        if assignment[i - 1]:
-            phases[5] += [base, base + 1, base + 2, base + 3]
-        else:
-            phases[5] += [base + 2, base + 3, base, base + 1]
-    return Schedule(tuple(idx for phase in phases for idx in phase))
+    phases = list(inst.phases)
+    # true activates the t-pair, false the f-pair (variable_gadget_activation)
+    phases[5] = [run if value else chain(run[2:], run[:2])
+                 for run, value in zip(phases[5], assignment)]
+    return Schedule(tuple(i for phase in phases for run in phase for i in run))
 
 
 def certify(inst: ReductionInstance, s: Schedule) -> dict:
@@ -324,7 +299,8 @@ def instance_manifest(inst: ReductionInstance) -> dict:
     }
 
 
-def _instance_paths(prefix: str | Path) -> list[Path]:
+def instance_paths(prefix: str | Path) -> list[Path]:
+    """The digraph, roles and manifest file paths of an instance prefix."""
     prefix = Path(prefix)
     suffixes = (".digraph", ".roles", ".manifest.json")
     return [prefix.with_suffix(prefix.suffix + s) for s in suffixes]
@@ -332,59 +308,57 @@ def _instance_paths(prefix: str | Path) -> list[Path]:
 
 def write_instance(inst: ReductionInstance, prefix: str | Path) -> list[Path]:
     """Write <prefix>.digraph, <prefix>.roles, <prefix>.manifest.json."""
-    graph_path, roles_path, manifest_path = _instance_paths(prefix)
+    graph_path, roles_path, manifest_path = paths = instance_paths(prefix)
     graph_path.write_text(format_digraph(inst.digraph))
-    roles_path.write_text(
-        "".join(f"{i} {role}\n" for i, role in enumerate(inst.roles))
-    )
+    roles_path.write_text(format_roles(inst.roles))
     manifest_path.write_text(json.dumps(instance_manifest(inst), indent=2) + "\n")
-    return [graph_path, roles_path, manifest_path]
+    return paths
 
 
 def load_instance(prefix: str | Path, texts: Sequence[str] | None = None) -> ReductionInstance:
     """Rebuild an instance from its files and verify their consistency.
 
-    The formula is recovered from the clause-entry edges, the instance
-    is rebuilt from scratch, and the stored graph and roles must match
-    the rebuild exactly.  `texts` are the contents of the digraph, roles
-    and manifest files when the caller has already read them; otherwise
-    each file is read once, when it is parsed.
+    The digraph's node and edge counts must match the manifest's
+    parameters before anything is rebuilt.  The formula is then
+    recovered from the clause-entry edges, the instance is rebuilt from
+    scratch, and the stored graph and roles must match the rebuild
+    exactly.  `texts` are the contents of the digraph, roles and
+    manifest files when the caller has already read them; otherwise each
+    file is read once, when it is parsed.
     """
-    graph_path, roles_path, manifest_path = paths = _instance_paths(prefix)
+    graph_path, roles_path, manifest_path = paths = instance_paths(prefix)
 
     def text(i: int) -> str:
         return paths[i].read_text() if texts is None else texts[i]
 
     try:
         manifest = json.loads(text(2))
-        n, m, K, M = (int(manifest[k]) for k in ("n", "m", "K", "M"))
+        params = ReductionParams(*(int(manifest[k]) for k in ("n", "m", "K", "M")))
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
     g = parse_digraph(text(0))
-    lay = _Layout(ReductionParams(n, m, K, M))
+    if (g.node_count, g.edge_count) != (params.node_count, params.edge_count):
+        raise ParseError(f"{graph_path} does not match its manifest parameters")
+    lay = _Layout(params)
 
-    literals: dict[int, list[tuple[int, bool]]] = {j: [] for j in range(1, m + 1)}
+    literals: list[list[tuple[int, bool]]] = [[] for _ in range(params.m)]
     for a, b in g.edges:
-        if a >= lay.clause_base and (a - lay.clause_base) % lay.clause_stride == 0:
-            if b >= lay.clause_base or b < lay.var_base:
-                continue  # dashed edge, not a gadget entry
-            j = (a - lay.clause_base) // lay.clause_stride + 1
-            off = (b - lay.var_base) % 4
-            variable = (b - lay.var_base) // 4
-            literals[j].append((variable, off == 0))
+        # from a clause node into a gadget: out of c_j^1, a literal's entry
+        if a >= lay.clause_base and lay.var_base <= b < lay.clause_base:
+            j, off = divmod(a - lay.clause_base, lay.clause_stride)
+            if off == 0:
+                variable, off = divmod(b - lay.var_base, 4)
+                literals[j].append((variable, off == 0))
     try:
-        formula = CnfFormula(n, tuple(tuple(literals[j]) for j in range(1, m + 1)))
+        formula = CnfFormula(params.n, tuple(map(tuple, literals)))
     except ValueError as exc:
         raise ParseError(f"instance files do not encode a valid formula: {exc}") from None
-    rebuilt = build_instance(formula, k_override=K, m_override=M)
+    rebuilt = build_instance(formula, k_override=params.K, m_override=params.M)
     if rebuilt.digraph != g:
         raise ParseError(f"{graph_path} does not match its manifest parameters")
-    roles = tuple(
-        line.split(maxsplit=1)[1]
-        for line in text(1).splitlines()
-        if line.strip()
-    )
-    if roles != rebuilt.roles:
+    roles_text = text(1)
+    # canonical files match as text; any other is parsed line by line
+    if roles_text != format_roles(rebuilt.roles) and parse_roles(roles_text) != rebuilt.roles:
         raise ParseError(f"{roles_path} does not match the rebuilt layout")
     if str(rebuilt.bounds[0]) != str(manifest.get("L")):
         raise ParseError(f"{manifest_path} L bound does not match parameters")

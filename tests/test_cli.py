@@ -1,13 +1,19 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from test_reduction import oversized_instance_texts, refuse_to_build
+
+import mret
+from mret import reduction
 from mret.cli import main
+from mret.reduction import instance_paths
 
 EXAMPLE_CNF = """\
 p cnf 3 3
@@ -21,6 +27,14 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*args):
+    """`python *args` in a child process that imports the same `mret` as
+    the tests, whether or not the package is installed."""
+    paths = [str(Path(mret.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_json(args, capsys):
@@ -213,6 +227,32 @@ def test_certify_schedule_file(instance_prefix, tmp_path, capsys):
     assert report["result"]["meets_L"] is False
 
 
+def test_certify_reads_what_reduce_wrote_at_a_directory_prefix(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(EXAMPLE_CNF)
+    prefix = str(tmp_path / "out") + "/"
+    written = run_json(["reduce", str(cnf), "--k", "1", "--m-param", "1",
+                        "--out", prefix], capsys)["run"]["outputs"]
+    assert written[0] == str(tmp_path / "out.digraph")
+    report = run_json(["certify", prefix, "--assignment", "FTT"], capsys)
+    assert report["result"]["meets_L"] is True
+    assert sorted(report["run"]["inputs"]) == sorted(written)
+
+
+def test_certify_refuses_an_instance_smaller_than_its_manifest(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
+    prefix = tmp_path / "big"
+    for path, text in zip(instance_paths(prefix), oversized_instance_texts()):
+        path.write_text(text)
+    code, out, err = run_cli(["certify", str(prefix), "--assignment", "FTT"], capsys)
+    assert code == 1 and out == ""
+    # the one-line error report, not an exception escaping main
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "does not match its manifest parameters" in err
+
+
 def test_bounds_official(capsys):
     report = run_json(["bounds", "--n", "3", "--m", "3"], capsys)
     result = report["result"]
@@ -286,11 +326,7 @@ def test_empty_graph_refused(empty_graph, args, capsys):
 
 def test_empty_graph_refused_under_optimize(empty_graph):
     # python -O strips asserts, so the refusal must not rest on one
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "mret.cli", "solve", empty_graph, "--method", "arb"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("-O", "-m", "mret.cli", "solve", empty_graph, "--method", "arb")
     assert proc.returncode == 1
     assert proc.stderr == "error: digraph has no nodes\n"
     assert "Traceback" not in proc.stderr
@@ -412,10 +448,6 @@ def test_console_script(tmp_path):
     path.write_text("2 2\n0 1\n1 0\n")
     sched = tmp_path / "s.txt"
     sched.write_text("0 1\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mret.cli", "eval", str(path), str(sched)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("-m", "mret.cli", "eval", str(path), str(sched))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["total"] == 4

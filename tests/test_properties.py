@@ -1,5 +1,5 @@
-"""Algebraic properties of the engine, the file formats and the
-arborescence-pair searches, by Hypothesis.
+"""Algebraic properties of the engine, the file formats, the hardness
+instances and the arborescence-pair searches, by Hypothesis.
 
 Evaluated graphs stay small (n <= 5, m <= 7) so the subset-enumeration
 oracle remains cheap, and the arborescence-pair comparison stays at
@@ -7,12 +7,20 @@ n <= 6, m <= 9 so the 3^m labeling oracle does; self-loops and parallel
 edges are allowed throughout.
 """
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import best_pair_by_labeling, naive_reach_pairs
+from oracle import (
+    best_pair_by_labeling,
+    brute_force_satisfying_assignments,
+    naive_reach_pairs,
+)
 
 from mret.astra import check_pair, exact_pair, greedy_pair, greedy_pairs
+from mret.cnf import CnfFormula
 from mret.graphs import (
     Digraph,
     Schedule,
@@ -31,6 +39,13 @@ from mret.reachability import (
     evaluate_temporalisation,
     schedule_from_temporalisation,
     total_reachability,
+)
+from mret.reduction import (
+    build_instance,
+    certify,
+    load_instance,
+    schedule_from_assignment,
+    write_instance,
 )
 
 # derandomized: the same examples on every run, so a failure reproduces
@@ -68,6 +83,29 @@ def temporalised(draw, max_label=4):
     labels = st.integers(1, max_label)
     times = draw(st.lists(labels, min_size=g.edge_count, max_size=g.edge_count))
     return g, Temporalisation(tuple(times))
+
+
+@st.composite
+def strict_3cnfs(draw, max_vars=5, max_clauses=5):
+    """A strict 3-CNF.  The first clauses walk a shuffled variable order,
+    so every variable occurs at least twice; the rest pick free variables.
+    A variable drawn with one polarity only gets its first occurrence
+    flipped."""
+    n = draw(st.integers(3, max_vars))
+    walk = draw(st.permutations(range(n)))
+    covering = -(-2 * n // 3)
+    m = draw(st.integers(covering, max_clauses))
+    variables = [walk[i % n] for i in range(3 * covering)]
+    for _ in range(m - covering):
+        variables += draw(st.permutations(range(n)))[:3]
+    signs = draw(st.lists(st.booleans(), min_size=3 * m, max_size=3 * m))
+    for v in range(n):
+        slots = [i for i, x in enumerate(variables) if x == v]
+        if len({signs[i] for i in slots}) == 1:
+            signs[slots[0]] = not signs[slots[0]]
+    literals = list(zip(variables, signs))
+    clauses = [tuple(literals[i : i + 3]) for i in range(0, 3 * m, 3)]
+    return CnfFormula(n, tuple(draw(st.permutations(clauses))))
 
 
 def reversed_graph(g):
@@ -195,6 +233,17 @@ def test_times_round_trip(gt):
     # labels are >= 1, so a times file is never read as a schedule
     expected = Schedule(()) if g.edge_count == 0 else t
     assert parse_timing(text, g.edge_count) == expected
+
+
+@check
+@given(strict_3cnfs(), st.integers(1, 3), st.integers(1, 6))
+def test_instance_files_round_trip(formula, K, M):
+    inst = build_instance(formula, k_override=K, m_override=M)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_instance(inst, Path(tmp) / "inst")
+        assert load_instance(Path(tmp) / "inst") == inst
+    for bits in brute_force_satisfying_assignments(formula.clauses, formula.variable_count):
+        assert certify(inst, schedule_from_assignment(inst, bits))["meets_L"]
 
 
 @check

@@ -1,6 +1,9 @@
 """Hardness-instance construction, bounds, and schedules."""
 
-from itertools import permutations
+import hashlib
+import json
+import random
+from itertools import permutations, product
 
 import pytest
 
@@ -8,7 +11,14 @@ from oracle import brute_force_satisfying_assignments
 
 from mret import reduction
 from mret.cnf import CnfFormula
-from mret.graphs import Digraph, Schedule, is_strongly_connected
+from mret.errors import ParseError
+from mret.graphs import (
+    Digraph,
+    Schedule,
+    format_digraph,
+    format_schedule,
+    is_strongly_connected,
+)
 from mret.reachability import evaluate_schedule
 from mret.reduction import (
     ReductionParams,
@@ -164,6 +174,12 @@ def test_build_deterministic():
     assert a.digraph == b.digraph and a.roles == b.roles
 
 
+def test_build_raises_when_the_edge_count_is_off(monkeypatch):
+    monkeypatch.setattr(ReductionParams, "edge_count", property(lambda self: 0))
+    with pytest.raises(RuntimeError, match="built 52 edges.*needs 0"):
+        build_instance(EXAMPLE, k_override=1, m_override=1)
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         build_instance(EXAMPLE, k_override=0)
@@ -210,6 +226,100 @@ def test_schedule_rejects_unsatisfying_assignment():
     inst = build_instance(EXAMPLE, k_override=1, m_override=1)
     with pytest.raises(ValueError, match="does not satisfy"):
         schedule_from_assignment(inst, (True, True, True))
+
+
+# schedule_from_assignment(...).order for every satisfying assignment of
+# EXAMPLE, pinned so that any change to the edge emission order or to the
+# schedule phases shows here
+GOLDEN_EXAMPLE_ORDERS = {
+    (1, 1, "FFT"): (
+        "42 43 44 45 46 36 38 40 12 14 16 18 20 22 24 26 28 30 31 32 33 34 35 2 3 "
+        "0 1 6 7 4 5 8 9 10 11 13 15 17 19 21 23 25 27 29 37 39 41 47 48 49 50 51"
+    ),
+    (1, 1, "FTF"): (
+        "42 43 44 45 46 36 38 40 12 14 16 18 20 22 24 26 28 30 31 32 33 34 35 2 3 "
+        "0 1 4 5 6 7 10 11 8 9 13 15 17 19 21 23 25 27 29 37 39 41 47 48 49 50 51"
+    ),
+    (1, 1, "FTT"): (
+        "42 43 44 45 46 36 38 40 12 14 16 18 20 22 24 26 28 30 31 32 33 34 35 2 3 "
+        "0 1 4 5 6 7 8 9 10 11 13 15 17 19 21 23 25 27 29 37 39 41 47 48 49 50 51"
+    ),
+    (1, 1, "TFT"): (
+        "42 43 44 45 46 36 38 40 12 14 16 18 20 22 24 26 28 30 31 32 33 34 35 0 1 "
+        "2 3 6 7 4 5 8 9 10 11 13 15 17 19 21 23 25 27 29 37 39 41 47 48 49 50 51"
+    ),
+    (1, 1, "TTF"): (
+        "42 43 44 45 46 36 38 40 12 14 16 18 20 22 24 26 28 30 31 32 33 34 35 0 1 "
+        "2 3 4 5 6 7 10 11 8 9 13 15 17 19 21 23 25 27 29 37 39 41 47 48 49 50 51"
+    ),
+    (2, 5, "FFT"): (
+        "48 49 50 51 52 53 54 55 56 57 58 59 36 37 40 41 44 45 12 14 16 18 20 22 "
+        "24 26 28 30 31 32 33 34 35 2 3 0 1 6 7 4 5 8 9 10 11 13 15 17 19 21 23 "
+        "25 27 29 38 39 42 43 46 47 60 61 62 63 64 65 66 67 68 69 70 71"
+    ),
+    (2, 5, "FTF"): (
+        "48 49 50 51 52 53 54 55 56 57 58 59 36 37 40 41 44 45 12 14 16 18 20 22 "
+        "24 26 28 30 31 32 33 34 35 2 3 0 1 4 5 6 7 10 11 8 9 13 15 17 19 21 23 "
+        "25 27 29 38 39 42 43 46 47 60 61 62 63 64 65 66 67 68 69 70 71"
+    ),
+    (2, 5, "FTT"): (
+        "48 49 50 51 52 53 54 55 56 57 58 59 36 37 40 41 44 45 12 14 16 18 20 22 "
+        "24 26 28 30 31 32 33 34 35 2 3 0 1 4 5 6 7 8 9 10 11 13 15 17 19 21 23 "
+        "25 27 29 38 39 42 43 46 47 60 61 62 63 64 65 66 67 68 69 70 71"
+    ),
+    (2, 5, "TFT"): (
+        "48 49 50 51 52 53 54 55 56 57 58 59 36 37 40 41 44 45 12 14 16 18 20 22 "
+        "24 26 28 30 31 32 33 34 35 0 1 2 3 6 7 4 5 8 9 10 11 13 15 17 19 21 23 "
+        "25 27 29 38 39 42 43 46 47 60 61 62 63 64 65 66 67 68 69 70 71"
+    ),
+    (2, 5, "TTF"): (
+        "48 49 50 51 52 53 54 55 56 57 58 59 36 37 40 41 44 45 12 14 16 18 20 22 "
+        "24 26 28 30 31 32 33 34 35 0 1 2 3 4 5 6 7 10 11 8 9 13 15 17 19 21 23 "
+        "25 27 29 38 39 42 43 46 47 60 61 62 63 64 65 66 67 68 69 70 71"
+    ),
+}
+
+
+def test_schedule_orders_are_pinned():
+    for K, M in ((1, 1), (2, 5)):
+        inst = build_instance(EXAMPLE, k_override=K, m_override=M)
+        for bits in product((False, True), repeat=3):
+            if not EXAMPLE.satisfies(bits):
+                continue
+            key = (K, M, "".join("T" if b else "F" for b in bits))
+            order = schedule_from_assignment(inst, bits).order
+            assert order == tuple(map(int, GOLDEN_EXAMPLE_ORDERS[key].split()))
+    assert len(GOLDEN_EXAMPLE_ORDERS) == 10
+
+
+def planted_formula(seed: int, n: int, m: int) -> tuple[CnfFormula, tuple[bool, ...]]:
+    """A seeded strict 3-CNF satisfied by a planted assignment."""
+    rng = random.Random(seed)
+    planted = tuple(rng.random() < 0.5 for _ in range(n))
+    while True:
+        clauses = []
+        while len(clauses) < m:
+            lits = tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), 3))
+            if any(planted[v] == positive for v, positive in lits):
+                clauses.append(lits)
+        if len({lit for clause in clauses for lit in clause}) == 2 * n:
+            return CnfFormula(n, tuple(clauses)), planted
+
+
+def test_large_planted_instance_is_pinned():
+    formula, planted = planted_formula(1, 20, 60)
+    assert "".join("T" if b else "F" for b in planted) == "TFFTTTFFTTFTFTTFTFFT"
+    inst = build_instance(formula, k_override=60, m_override=12_000)
+    assert inst.digraph.edge_count == 42_382
+    s = schedule_from_assignment(inst, planted)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(format_digraph(inst.digraph)) == (
+        "98646cfa044ec5f4c42dbea317f9763569443fdbb546c3ef503049b875ccfb72")
+    assert digest(format_schedule(s)) == (
+        "55afb0a4924f5bfd2aa5dbb7e8296b74c1cb9d56c7acbb7ae981400bc5fb8849")
 
 
 def test_schedule_phase_structure():
@@ -310,7 +420,6 @@ def test_write_load_round_trip(tmp_path):
     assert back.formula == EXAMPLE
     assert back.bounds == inst.bounds
 
-    import json
     manifest = json.loads((tmp_path / "inst.manifest.json").read_text())
     assert manifest["node_count"] == 39 and manifest["edge_count"] == 72
     assert manifest["L"] == "546"  # bounds travel as decimal strings
@@ -318,7 +427,6 @@ def test_write_load_round_trip(tmp_path):
 
 
 def test_load_rejects_tampered_graph(tmp_path):
-    from mret.errors import ParseError
     inst = build_instance(EXAMPLE, k_override=1, m_override=1)
     write_instance(inst, tmp_path / "inst")
     graph_file = tmp_path / "inst.digraph"
@@ -327,3 +435,50 @@ def test_load_rejects_tampered_graph(tmp_path):
     graph_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="does not match"):
         load_instance(tmp_path / "inst")
+
+
+def oversized_instance_texts() -> tuple[str, str, str]:
+    """Digraph, roles and manifest texts whose manifest claims M = 5*10^7
+    while the digraph holds only the nine clause-entry edges of EXAMPLE."""
+    K, M = 2, 50_000_000
+    var_base = 4 + M
+    clause_base = var_base + 4 * 3
+    edges = [
+        (clause_base + (2 + 2 * K) * j, var_base + 4 * v + (0 if positive else 2))
+        for j, clause in enumerate(EXAMPLE.clauses)
+        for v, positive in clause
+    ]
+    nodes = ReductionParams(3, 3, K, M).node_count
+    graph = f"{nodes} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges)
+    return graph, "", json.dumps({"n": 3, "m": 3, "K": K, "M": M})
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("build_instance called on an instance of the wrong size")
+
+
+def test_load_checks_sizes_before_rebuilding(monkeypatch):
+    monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
+    with pytest.raises(ParseError, match="does not match its manifest parameters"):
+        load_instance("big", oversized_instance_texts())
+
+
+@pytest.mark.parametrize("lineno, line", [(3, "2"), (1, "7 u1")])
+def test_load_rejects_bad_roles_lines(tmp_path, lineno, line):
+    # a line holding only an id, and a line out of id order
+    write_instance(build_instance(EXAMPLE, k_override=1, m_override=1), tmp_path / "inst")
+    roles_file = tmp_path / "inst.roles"
+    lines = roles_file.read_text().splitlines()
+    lines[lineno - 1] = line
+    roles_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^line {lineno}: "):
+        load_instance(tmp_path / "inst")
+
+
+def test_load_accepts_noncanonical_roles(tmp_path):
+    inst = build_instance(EXAMPLE, k_override=1, m_override=1)
+    write_instance(inst, tmp_path / "inst")
+    roles_file = tmp_path / "inst.roles"
+    spaced = roles_file.read_text().replace(" ", " \t ")
+    roles_file.write_text("# node roles\n\n" + spaced)
+    assert load_instance(tmp_path / "inst") == inst
