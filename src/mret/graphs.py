@@ -191,7 +191,7 @@ def parse_roles(text: str) -> tuple[str, ...]:
     return tuple(roles)
 
 
-def format_roles(roles) -> str:
+def format_roles(roles: tuple[str, ...]) -> str:
     return "".join(f"{i} {role}\n" for i, role in enumerate(roles))
 
 
