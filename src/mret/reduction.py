@@ -341,24 +341,23 @@ def load_instance(prefix: str | Path, texts: Sequence[str] | None = None) -> Red
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     lay = _Layout(params)
 
-    literals: list[list[tuple[int, bool]]] = [[] for _ in range(params.m)]
+    literals: dict[int, list[tuple[int, bool]]] = {j: [] for j in range(1, params.m + 1)}
     for a, b in g.edges:
-        # from a clause node into a gadget: out of c_j^1, a literal's entry
-        if a >= lay.clause_base and lay.var_base <= b < lay.clause_base:
-            j, off = divmod(a - lay.clause_base, lay.clause_stride)
-            if off == 0:
-                variable, off = divmod(b - lay.var_base, 4)
-                literals[j].append((variable, off == 0))
+        if a >= lay.clause_base and (a - lay.clause_base) % lay.clause_stride == 0:
+            if b >= lay.clause_base or b < lay.var_base:
+                continue  # dashed edge, not a gadget entry
+            j = (a - lay.clause_base) // lay.clause_stride + 1
+            off = (b - lay.var_base) % 4
+            variable = (b - lay.var_base) // 4
+            literals[j].append((variable, off == 0))
     try:
-        formula = CnfFormula(params.n, tuple(map(tuple, literals)))
+        formula = CnfFormula(params.n, tuple(tuple(literals[j]) for j in range(1, params.m + 1)))
     except ValueError as exc:
         raise ParseError(f"instance files do not encode a valid formula: {exc}") from None
     rebuilt = build_instance(formula, k_override=params.K, m_override=params.M)
     if rebuilt.digraph != g:
         raise ParseError(f"{graph_path} does not match its manifest parameters")
-    roles_text = text(1)
-    # canonical files match as text; any other is parsed line by line
-    if roles_text != format_roles(rebuilt.roles) and parse_roles(roles_text) != rebuilt.roles:
+    if parse_roles(text(1)) != rebuilt.roles:
         raise ParseError(f"{roles_path} does not match the rebuilt layout")
     if str(rebuilt.bounds[0]) != str(manifest.get("L")):
         raise ParseError(f"{manifest_path} L bound does not match parameters")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from test_reduction import oversized_instance_texts, refuse_to_build
+from instances import oversized_instance_texts, refuse_to_build
 
 import mret
 from mret import reduction
@@ -237,6 +237,18 @@ def test_certify_reads_what_reduce_wrote_at_a_directory_prefix(tmp_path, capsys)
     report = run_json(["certify", prefix, "--assignment", "FTT"], capsys)
     assert report["result"]["meets_L"] is True
     assert sorted(report["run"]["inputs"]) == sorted(written)
+
+
+def test_certify_records_the_paths_reduce_wrote(tmp_path, monkeypatch, capsys):
+    # both commands name the instance files as reduction.instance_paths
+    # does, so a "./" prefix is recorded as "inst.digraph", not "./inst.digraph"
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(EXAMPLE_CNF)
+    written = run_json(["reduce", "f.cnf", "--k", "1", "--m-param", "1",
+                        "--out", "./inst"], capsys)["run"]["outputs"]
+    assert written == ["inst.digraph", "inst.roles", "inst.manifest.json"]
+    report = run_json(["certify", "./inst", "--assignment", "FTT"], capsys)
+    assert list(report["run"]["inputs"]) == written
 
 
 def test_certify_refuses_an_instance_smaller_than_its_manifest(

@@ -7,6 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
+from instances import EXAMPLE, oversized_instance_texts, refuse_to_build
 from oracle import brute_force_satisfying_assignments
 
 from mret import reduction
@@ -33,13 +34,6 @@ from mret.reduction import (
     variable_gadget_activation,
     write_instance,
 )
-
-EXAMPLE = CnfFormula(3, (
-    ((0, True), (1, True), (2, True)),
-    ((0, False), (1, True), (2, True)),
-    ((0, False), (1, False), (2, False)),
-))
-
 
 def test_params_arithmetic():
     p = ReductionParams(3, 3, 2, 5)
@@ -435,26 +429,6 @@ def test_load_rejects_tampered_graph(tmp_path):
     graph_file.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="does not match"):
         load_instance(tmp_path / "inst")
-
-
-def oversized_instance_texts() -> tuple[str, str, str]:
-    """Digraph, roles and manifest texts whose manifest claims M = 5*10^7
-    while the digraph holds only the nine clause-entry edges of EXAMPLE."""
-    K, M = 2, 50_000_000
-    var_base = 4 + M
-    clause_base = var_base + 4 * 3
-    edges = [
-        (clause_base + (2 + 2 * K) * j, var_base + 4 * v + (0 if positive else 2))
-        for j, clause in enumerate(EXAMPLE.clauses)
-        for v, positive in clause
-    ]
-    nodes = ReductionParams(3, 3, K, M).node_count
-    graph = f"{nodes} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges)
-    return graph, "", json.dumps({"n": 3, "m": 3, "K": K, "M": M})
-
-
-def refuse_to_build(*args, **kwargs):
-    raise AssertionError("build_instance called on an instance of the wrong size")
 
 
 def test_load_checks_sizes_before_rebuilding(monkeypatch):
