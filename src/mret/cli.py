@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .astra import best_root, exact_pair, greedy_pair
 from .cnf import parse_assignment, parse_dimacs
-from .errors import ParseError, ScaleLimitError
+from .errors import ParseError, ScaleLimitError, parse_file
 from .generators import gen_fig3, gen_random_sc
 from .graphs import (
     Schedule,
@@ -34,6 +34,7 @@ from .graphs import (
     parse_schedule,
     parse_temporal_graph,
     parse_timing,
+    prefix_path,
 )
 from .reachability import (
     evaluate_schedule,
@@ -47,7 +48,6 @@ from .reduction import (
     certify,
     check_bounds,
     instance_manifest,
-    instance_paths,
     load_instance,
     schedule_from_assignment,
     write_instance,
@@ -73,8 +73,9 @@ class _Run:
         self.inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
         return data.decode()
 
-    def wrote(self, path: str | Path) -> None:
-        self.outputs.append(str(path))
+    def write(self, path: str | Path, text: str) -> None:
+        Path(path).write_text(text, encoding="utf-8")
+        self.outputs.append(str(Path(path)))
 
     def to_json(self) -> dict:
         return {
@@ -106,8 +107,8 @@ def _emit(run: _Run, result: dict, fmt: str) -> None:
 
 
 def cmd_eval(args, run: _Run) -> dict:
-    g = parse_digraph(run.read(args.graph))
-    timing = parse_timing(run.read(args.timing), g.edge_count, args.kind)
+    g = parse_file(parse_digraph, run.read, args.graph)
+    timing = parse_file(parse_timing, run.read, args.timing, g.edge_count, args.kind)
     kind = "schedule" if isinstance(timing, Schedule) else "times"
     if not args.counts:
         return {"kind": kind, "total": total_reachability(g, timing)}
@@ -118,7 +119,7 @@ def cmd_eval(args, run: _Run) -> dict:
 
 
 def cmd_solve(args, run: _Run) -> dict:
-    g = parse_digraph(run.read(args.graph))
+    g = parse_file(parse_digraph, run.read, args.graph)
     if args.method == "exact":
         res = solve_exact(g, limit=args.limit)
     elif args.method == "local":
@@ -126,16 +127,14 @@ def cmd_solve(args, run: _Run) -> dict:
     else:
         res = solve_arborescence(g, root=args.root, seed=args.seed)
     if args.out:
-        Path(args.out).write_text(format_schedule(res.best_schedule))
-        run.wrote(args.out)
+        run.write(args.out, format_schedule(res.best_schedule))
     return res.to_json()
 
 
 def cmd_reduce(args, run: _Run) -> dict:
-    formula = parse_dimacs(run.read(args.cnf))
+    formula = parse_file(parse_dimacs, run.read, args.cnf)
     inst = build_instance(formula, k_override=args.k, m_override=args.m_param)
-    for path in write_instance(inst, args.out):
-        run.wrote(path)
+    write_instance(inst, args.out, run.write)
     report = check_bounds(inst.params)
     return {
         **instance_manifest(inst),
@@ -146,13 +145,13 @@ def cmd_reduce(args, run: _Run) -> dict:
 
 
 def cmd_certify(args, run: _Run) -> dict:
-    inst = load_instance(args.prefix, [run.read(p) for p in instance_paths(args.prefix)])
+    inst = load_instance(args.prefix, run.read)
     if args.assignment is not None:
         bits = parse_assignment(args.assignment, inst.formula.variable_count)
         schedule = schedule_from_assignment(inst, bits)
         source = "assignment"
     else:
-        schedule = parse_schedule(run.read(args.schedule), inst.digraph.edge_count)
+        schedule = parse_file(parse_schedule, run.read, args.schedule, inst.digraph.edge_count)
         source = "schedule"
     verdict = certify(inst, schedule)
     return {
@@ -182,7 +181,7 @@ def cmd_bounds(args, run: _Run) -> dict:
 
 
 def cmd_astra(args, run: _Run) -> dict:
-    g = parse_digraph(run.read(args.graph))
+    g = parse_file(parse_digraph, run.read, args.graph)
     if args.root is None:
         report = best_root(g, args.method, seed=args.seed, limit=args.limit)
         return report.to_json()
@@ -212,12 +211,9 @@ def cmd_gen(args, run: _Run) -> dict:
     result["node_count"] = g.node_count
     result["edge_count"] = g.edge_count
     if args.out:
-        Path(args.out).write_text(format_digraph(g))
-        run.wrote(args.out)
+        run.write(args.out, format_digraph(g))
         if roles is not None:
-            roles_path = args.out + ".roles"
-            Path(roles_path).write_text(format_roles(roles))
-            run.wrote(roles_path)
+            run.write(prefix_path(args.out, ".roles"), format_roles(roles))
     else:
         result["digraph"] = format_digraph(g)
         if roles is not None:
@@ -226,7 +222,7 @@ def cmd_gen(args, run: _Run) -> dict:
 
 
 def cmd_convert(args, run: _Run) -> dict:
-    g, t = parse_temporal_graph(run.read(args.temporal_graph))
+    g, t = parse_file(parse_temporal_graph, run.read, args.temporal_graph)
     schedule = schedule_from_temporalisation(t)
     result = {
         "node_count": g.node_count,
@@ -234,12 +230,8 @@ def cmd_convert(args, run: _Run) -> dict:
         "total": total_reachability(g, t),
     }
     if args.out:
-        graph_path = args.out + ".digraph"
-        schedule_path = args.out + ".schedule"
-        Path(graph_path).write_text(format_digraph(g))
-        Path(schedule_path).write_text(format_schedule(schedule))
-        run.wrote(graph_path)
-        run.wrote(schedule_path)
+        run.write(prefix_path(args.out, ".digraph"), format_digraph(g))
+        run.write(prefix_path(args.out, ".schedule"), format_schedule(schedule))
     else:
         result["digraph"] = format_digraph(g)
         result["schedule"] = list(schedule.order)

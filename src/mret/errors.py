@@ -14,6 +14,14 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def parse_file(parse, read, path, *args):
+    """``parse(read(path), *args)``; parse and decode errors become ParseErrors naming `path`."""
+    try:
+        return parse(read(path), *args)
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 class ScaleLimitError(Exception):
     """An exact method was asked to run beyond its edge-count limit.
 

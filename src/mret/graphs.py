@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 from .errors import ParseError
 
@@ -195,10 +196,17 @@ def format_roles(roles: tuple[str, ...]) -> str:
     return "".join(f"{i} {role}\n" for i, role in enumerate(roles))
 
 
-# kind -> (type built, name of one value, name of several)
-_TIMING_KINDS = {
-    "schedule": (Schedule, "edge index", "edge indices"),
-    "times": (Temporalisation, "time label", "time labels"),
+def prefix_path(prefix: str | Path, suffix: str) -> Path:
+    """`prefix` with `suffix` appended: ``out/`` + ``.roles`` is ``out.roles``."""
+    prefix = Path(prefix)
+    return prefix.with_suffix(prefix.suffix + suffix)
+
+
+# kind -> (file name, name of one value, name of several)
+_TIMING_WORDS = {
+    "auto": ("timing", "value", "values"),
+    "schedule": ("schedule", "edge index", "edge indices"),
+    "times": ("times", "time label", "time labels"),
 }
 
 
@@ -209,29 +217,23 @@ def parse_timing(text: str, edge_count: int, kind: str = "auto") -> Schedule | T
     permutation of 0..m-1 and a times file otherwise; valid times are
     >= 1, so a permutation can only be a schedule.
     """
+    name, one, several = _TIMING_WORDS[kind]
     lines = _data_lines(text)
-    values = None
-    if kind == "auto":
-        try:
-            values = [int(tok) for _, line in lines for tok in line.split()]
-        except ValueError:
-            raise ParseError("timing file must contain integers") from None
-        kind = "schedule" if sorted(values) == list(range(edge_count)) else "times"
-    build, one, several = _TIMING_KINDS[kind]
     if edge_count == 0 and not lines:
-        return build(())
+        return Temporalisation(()) if kind == "times" else Schedule(())
     if len(lines) != 1:
-        raise ParseError(f"{kind} file must have exactly one data line, found {len(lines)}")
+        raise ParseError(f"{name} file must have exactly one data line, found {len(lines)}")
     lineno, line = lines[0]
-    if values is None:
-        try:
-            values = [int(p) for p in line.split()]
-        except ValueError:
-            raise ParseError(f"non-integer {one}", lineno) from None
+    try:
+        values = [int(p) for p in line.split()]
+    except ValueError:
+        raise ParseError(f"non-integer {one}", lineno) from None
     if len(values) != edge_count:
         raise ParseError(f"expected {edge_count} {several}, got {len(values)}", lineno)
+    if kind == "auto":
+        kind = "schedule" if sorted(values) == list(range(edge_count)) else "times"
     try:
-        return build(tuple(values))
+        return (Schedule if kind == "schedule" else Temporalisation)(tuple(values))
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .cnf import CnfFormula
-from .errors import ParseError
+from .errors import ParseError, parse_file
 from .graphs import (
     Digraph,
     Schedule,
@@ -36,6 +37,7 @@ from .graphs import (
     format_roles,
     parse_digraph,
     parse_roles,
+    prefix_path,
 )
 from .reachability import total_reachability
 
@@ -273,11 +275,6 @@ def schedule_from_assignment(
 
 def certify(inst: ReductionInstance, s: Schedule) -> dict:
     """Engine-evaluated total versus the instance's L bound."""
-    if len(s.order) != inst.digraph.edge_count:
-        raise ValueError(
-            f"schedule has {len(s.order)} entries for "
-            f"{inst.digraph.edge_count} edges"
-        )
     total = total_reachability(inst.digraph, s)
     return {"total": total, "L": inst.bounds[0], "meets_L": total >= inst.bounds[0]}
 
@@ -301,42 +298,42 @@ def instance_manifest(inst: ReductionInstance) -> dict:
 
 def instance_paths(prefix: str | Path) -> list[Path]:
     """The digraph, roles and manifest file paths of an instance prefix."""
-    prefix = Path(prefix)
-    suffixes = (".digraph", ".roles", ".manifest.json")
-    return [prefix.with_suffix(prefix.suffix + s) for s in suffixes]
+    return [prefix_path(prefix, s) for s in (".digraph", ".roles", ".manifest.json")]
 
 
-def write_instance(inst: ReductionInstance, prefix: str | Path) -> list[Path]:
-    """Write <prefix>.digraph, <prefix>.roles, <prefix>.manifest.json."""
+_read = partial(Path.read_text, encoding="utf-8")
+_write = partial(Path.write_text, encoding="utf-8")
+
+
+def write_instance(inst: ReductionInstance, prefix: str | Path, write=_write) -> list[Path]:
+    """Write <prefix>.digraph, <prefix>.roles, <prefix>.manifest.json
+    through `write(path, text)`."""
     graph_path, roles_path, manifest_path = paths = instance_paths(prefix)
-    graph_path.write_text(format_digraph(inst.digraph))
-    roles_path.write_text(format_roles(inst.roles))
-    manifest_path.write_text(json.dumps(instance_manifest(inst), indent=2) + "\n")
+    write(graph_path, format_digraph(inst.digraph))
+    write(roles_path, format_roles(inst.roles))
+    write(manifest_path, json.dumps(instance_manifest(inst), indent=2) + "\n")
     return paths
 
 
-def load_instance(prefix: str | Path, texts: Sequence[str] | None = None) -> ReductionInstance:
+def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     """Rebuild an instance from its files and verify their consistency.
 
-    The digraph's node and edge counts must match the manifest's
-    parameters before anything is rebuilt.  The formula is then
-    recovered from the clause-entry edges, the instance is rebuilt from
-    scratch, and the stored graph and roles must match the rebuild
-    exactly.  `texts` are the contents of the digraph, roles and
-    manifest files when the caller has already read them; otherwise each
-    file is read once, when it is parsed.
+    `read(path)` gives the text of each file; the files are read in
+    `instance_paths` order.  The digraph's node and edge counts must
+    match the manifest's parameters before anything is rebuilt.  The
+    formula is then recovered from the clause-entry edges, the instance
+    is rebuilt from scratch, and the stored graph and roles must match
+    the rebuild exactly.
     """
-    graph_path, roles_path, manifest_path = paths = instance_paths(prefix)
-
-    def text(i: int) -> str:
-        return paths[i].read_text() if texts is None else texts[i]
-
+    graph_path, roles_path, manifest_path = instance_paths(prefix)
+    g = parse_file(parse_digraph, read, graph_path)
+    # parsed after the rebuild (parsing first cost 1 MB peak RSS); str() only names decode errors
+    roles_text = parse_file(str, read, roles_path)
     try:
-        manifest = json.loads(text(2))
+        manifest = json.loads(read(manifest_path))
         params = ReductionParams(*(int(manifest[k]) for k in ("n", "m", "K", "M")))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # incl. json and decode errors
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
-    g = parse_digraph(text(0))
     if (g.node_count, g.edge_count) != (params.node_count, params.edge_count):
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     lay = _Layout(params)
@@ -357,7 +354,7 @@ def load_instance(prefix: str | Path, texts: Sequence[str] | None = None) -> Red
     rebuilt = build_instance(formula, k_override=params.K, m_override=params.M)
     if rebuilt.digraph != g:
         raise ParseError(f"{graph_path} does not match its manifest parameters")
-    if parse_roles(text(1)) != rebuilt.roles:
+    if parse_file(parse_roles, lambda _: roles_text, roles_path) != rebuilt.roles:
         raise ParseError(f"{roles_path} does not match the rebuilt layout")
     if str(rebuilt.bounds[0]) != str(manifest.get("L")):
         raise ParseError(f"{manifest_path} L bound does not match parameters")

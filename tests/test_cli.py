@@ -402,6 +402,65 @@ def test_convert_round_trip(tmp_path, capsys):
     assert embedded["result"]["schedule"] == [0, 1, 2]
 
 
+def test_every_out_prefix_follows_one_rule(tmp_path, monkeypatch, capsys):
+    # "d/" names the files "d", "d.roles", "d.digraph": no file inside a
+    # directory "d/", and the outputs record the paths written
+    monkeypatch.chdir(tmp_path)
+    Path("tg.txt").write_text("3 3\n0 1 5\n1 2 9\n2 0 9\n")
+    gen = run_json(["gen", "fig3", "--k", "1", "--out", "d/"], capsys)
+    assert gen["run"]["outputs"] == ["d", "d.roles"]
+    assert Path("d").read_text() == GOLDEN_FIG3_K1
+    assert Path("d.roles").read_text().startswith("0 x\n")
+    conv = run_json(["convert", "tg.txt", "--out", "d/"], capsys)
+    assert conv["run"]["outputs"] == ["d.digraph", "d.schedule"]
+    assert Path("d.schedule").read_text() == "0 1 2\n"
+    solve = run_json(["solve", "d.digraph", "--out", "./best.sched"], capsys)
+    assert solve["run"]["outputs"] == ["best.sched"]
+
+
+def one_line_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    return err
+
+
+def test_eval_errors_name_the_file(two_cycle, tmp_path, capsys):
+    graph = tmp_path / "g.digraph"
+    graph.write_text("3 2\n0 1\n1 5\n")
+    sched = tmp_path / "s.txt"
+    sched.write_text("0 1\n")
+    assert one_line_error(["eval", str(graph), str(sched)], capsys) == (
+        f"error: {graph}: line 3: endpoint out of range: (1, 5) with n=3\n")
+    timing = tmp_path / "t.txt"
+    timing.write_text("# labels\n0 x\n")
+    assert one_line_error(["eval", two_cycle, str(timing)], capsys) == (
+        f"error: {timing}: line 2: non-integer value\n")
+    assert one_line_error(["eval", two_cycle, str(timing), "--kind", "times"], capsys) == (
+        f"error: {timing}: line 2: non-integer time label\n")
+
+
+def test_certify_names_the_bad_roles_file(instance_prefix, capsys):
+    roles = Path(instance_prefix + ".roles")
+    lines = roles.read_text().splitlines()
+    lines[2] = "2"
+    roles.write_text("\n".join(lines) + "\n")
+    err = one_line_error(["certify", instance_prefix, "--assignment", "FTT"], capsys)
+    assert err == f"error: {roles}: line 3: expected a '2 <role>' line, got '2'\n"
+
+
+@pytest.mark.parametrize("suffix", [".digraph", ".roles", ".manifest.json"])
+def test_non_utf8_input_names_the_file(instance_prefix, suffix, tmp_path, capsys):
+    bad = tmp_path / "bad.digraph"
+    bad.write_bytes(b"\xff2 2\n0 1\n1 0\n")
+    err = one_line_error(["solve", str(bad)], capsys)
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    # each instance file is named once, also inside "bad manifest <path>"
+    path = Path(instance_prefix + suffix)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    err = one_line_error(["certify", instance_prefix, "--assignment", "FTT"], capsys)
+    assert err.count(str(path)) == 1 and "can't decode byte 0xff" in err
+
+
 def test_run_manifest_fields(two_cycle, tmp_path, capsys):
     sched = tmp_path / "s.txt"
     sched.write_text("0 1\n")

@@ -4,7 +4,8 @@ instances and the arborescence-pair searches, by Hypothesis.
 Evaluated graphs stay small (n <= 5, m <= 7) so the subset-enumeration
 oracle remains cheap, and the arborescence-pair comparison stays at
 n <= 6, m <= 9 so the 3^m labeling oracle does; self-loops and parallel
-edges are allowed throughout.
+edges are allowed throughout, except where the solvers are compared,
+since they refuse self-loops.
 """
 
 import tempfile
@@ -47,6 +48,7 @@ from mret.reduction import (
     schedule_from_assignment,
     write_instance,
 )
+from mret.solvers import solve_exact, solve_local
 
 # derandomized: the same examples on every run, so a failure reproduces
 check = settings(deadline=None, derandomize=True)
@@ -58,6 +60,13 @@ def digraphs(draw, max_nodes=5, max_edges=7):
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=max_edges))
     return Digraph(n, tuple(edges))
+
+
+@st.composite
+def loop_free(draw):
+    """A digraph without self-loops, which the solvers refuse."""
+    g = draw(digraphs())
+    return Digraph(g.node_count, tuple((a, b) for a, b in g.edges if a != b))
 
 
 @st.composite
@@ -268,3 +277,11 @@ def test_exact_pair_matches_labeling_oracle(data):
         best_min,
         out_size + in_size,
     )
+
+
+@check
+@given(loop_free(), st.integers(0, 2**16))
+def test_local_never_beats_exact(g, seed):
+    local = solve_local(g, seed)
+    assert local.best_total <= solve_exact(g).best_total
+    assert total_reachability(g, local.best_schedule) == local.best_total
