@@ -70,7 +70,7 @@ class _Run:
 
     def read(self, path: str | Path) -> str:
         data = Path(path).read_bytes()
-        self.inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
+        self.inputs[str(Path(path))] = "sha256:" + hashlib.sha256(data).hexdigest()
         return data.decode()
 
     def write(self, path: str | Path, text: str) -> None:

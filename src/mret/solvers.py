@@ -1,11 +1,19 @@
 """Schedule search: exhaustive, local, and arborescence-guided.
 
 All three solvers maximize total reachability over schedules and return
-a `SolveResult`.  `solve_exact` enumerates every ordering and is the
-small-scale ground truth; `solve_local` is seeded hill climbing over
-adjacent transpositions; `solve_arborescence` turns an edge-disjoint
-in/out arborescence pair into a schedule whose total is at least the
-product of the two spanned node counts.
+a `SolveResult`.  `solve_exact` is the small-scale ground truth;
+`solve_local` is seeded hill climbing over adjacent transpositions;
+`solve_arborescence` turns an edge-disjoint in/out arborescence pair
+into a schedule whose total is at least the product of the two spanned
+node counts.
+
+Firing edge (a, b) merges the reach set of a into that of b, so two
+edges commute unless they chain (`dependent`).  Orders that differ only
+by swapping adjacent commuting edges form one commutation class (a
+Mazurkiewicz trace) and have equal totals.  `solve_exact` therefore
+evaluates each class once, at its lexicographically smallest order
+(the Anisimov-Knuth normal form), and `solve_local` never tries a swap
+of two commuting edges.
 
 Self-loops are rejected: a loop never extends a path to a new node, so
 allowing it would only pad schedules.
@@ -15,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
 from .astra import ArborescencePair, greedy_pairs
 from .errors import ScaleLimitError
@@ -27,9 +34,12 @@ from .reachability import _propagate
 class SolveResult:
     """Best schedule found by one solver run.
 
-    `explored` counts engine evaluations.  `certificate` is only set by
-    the arborescence method: the in/out spanned node counts, whose
-    product is a proven lower bound on `best_total`.
+    `explored` counts evaluated schedules: commutation classes for the
+    exact method, the start orders plus the swaps of chaining edges for
+    local search, and the roots' orders for the arborescence method.
+    `certificate` is only set by the arborescence method: the in/out
+    spanned node counts, whose product is a proven lower bound on
+    `best_total`.
     """
 
     method: str
@@ -54,29 +64,79 @@ def _reject_self_loops(g: Digraph) -> None:
         raise ValueError(f"self-loops are not solvable (edge index {loops[0]})")
 
 
+def dependent(e: tuple[int, int], f: tuple[int, int]) -> bool:
+    """Whether edges e and f chain, so that their firing order matters.
+
+    True when e's head is f's tail or f's head is e's tail; any other
+    pair of loop-free edges gives the same reach sets in either order.
+    """
+    return e[1] == f[0] or f[1] == e[0]
+
+
+def _stays_normal(prefix: list[int], e: int, chains_e: list[bool]) -> bool:
+    """Whether `prefix + [e]` is lexicographically smallest in its class,
+    given that `prefix` is: no edge larger than e may sit in the run of
+    edges that e commutes with at the end of the prefix."""
+    for x in reversed(prefix):
+        if chains_e[x]:
+            return True
+        if x > e:
+            return False
+    return True
+
+
 def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
-    """Try all m! schedules; ties go to the lexicographically smallest."""
+    """Best schedule over all commutation classes; ties go to the
+    lexicographically smallest order.
+
+    A depth-first search appends edge e to the prefix only while the
+    prefix stays lexicographically smallest in its class: scanning back
+    over the edges that commute with e, none may be larger than e.  The
+    leaves are then exactly the normal forms, in lexicographic order,
+    and the smallest maximizing order is the normal form of its class,
+    so strict improvement keeps it.  Each step fires one edge into the
+    reach sets and undoes it on the way back.
+    """
     _reject_self_loops(g)
     m = g.edge_count
     if m > limit:
         raise ScaleLimitError(
             f"exact search infeasible at this scale: "
-            f"{m} edges means {m}! schedules (limit {limit})"
+            f"{m} edges exceed the limit of {limit}"
         )
-    n, edges = g.node_count, g.edges
-    best_total = -1
-    best_order: tuple[int, ...] | None = None
+    edges = g.edges
+    chains = [[dependent(e, f) for f in edges] for e in edges]
+    reach = [1 << v for v in range(g.node_count)]
+    total = g.node_count
+    unused = [True] * m
+    prefix: list[int] = []
+    undo: list[tuple[int, int]] = []  # head's mask and the total before each edge
+    best_total, best_order = -1, ()
     explored = 0
-    for order in permutations(range(m)):
-        total = sum(map(int.bit_count, _propagate(n, edges, order)))
-        explored += 1
-        # permutations() is lexicographic, so strict improvement keeps
-        # the smallest maximizer
-        if total > best_total:
-            best_total = total
-            best_order = order
-    assert best_order is not None
-    return SolveResult("exact", Schedule(best_order), best_total, explored)
+    e = 0  # next candidate edge at the current depth
+    while True:
+        if len(prefix) == m:
+            explored += 1
+            if total > best_total:
+                best_total, best_order = total, tuple(prefix)
+        while e < m and not (unused[e] and _stays_normal(prefix, e, chains[e])):
+            e += 1
+        if e < m:
+            a, b = edges[e]
+            old = reach[b]
+            undo.append((old, total))
+            reach[b] = old | reach[a]
+            total += reach[b].bit_count() - old.bit_count()
+            unused[e] = False
+            prefix.append(e)
+            e = 0
+        elif prefix:
+            e = prefix.pop()
+            unused[e] = True
+            reach[edges[e][1]], total = undo.pop()
+            e += 1
+        else:
+            return SolveResult("exact", Schedule(best_order), best_total, explored)
 
 
 def solve_local(
@@ -85,14 +145,15 @@ def solve_local(
     """Hill climbing with adjacent swaps from seeded random starts.
 
     Each restart takes the best improving swap until none exists (or
-    `steps` moves).  Deterministic for a given seed; the best total over
-    restarts wins, ties going to the lexicographically smaller order.
+    `steps` moves).  A swap of two commuting edges leaves every reach
+    set as it is, so it cannot improve and is not evaluated.
+    Deterministic for a given seed; the best total over restarts wins,
+    ties going to the lexicographically smaller order.
     """
     _reject_self_loops(g)
     n, m, edges = g.node_count, g.edge_count, g.edges
     rng = random.Random(seed)
-    best_total = -1
-    best_order: tuple[int, ...] | None = None
+    best_total, best_order = -1, ()
     explored = 0
     for _ in range(max(1, restarts)):
         order = list(range(m))
@@ -104,6 +165,8 @@ def solve_local(
             swap_total = current
             swap_at = None
             for j in range(m - 1):
+                if not dependent(edges[order[j]], edges[order[j + 1]]):
+                    continue
                 order[j], order[j + 1] = order[j + 1], order[j]
                 total = sum(map(int.bit_count, _propagate(n, edges, order)))
                 explored += 1
@@ -120,7 +183,6 @@ def solve_local(
         if current > best_total or (current == best_total and key < best_order):
             best_total = current
             best_order = key
-    assert best_order is not None
     return SolveResult("local-search", Schedule(best_order), best_total, explored)
 
 

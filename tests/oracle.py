@@ -7,7 +7,7 @@ checked against, so they stay deliberately naive.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def naive_reach_pairs(
@@ -48,6 +48,35 @@ def naive_counts_for_schedule(node_count, edges, order) -> list[int]:
     for u, _ in pairs:
         counts[u] += 1
     return counts
+
+
+def oracle_best(g) -> tuple[int, tuple[int, ...]]:
+    """(total, order) of the lexicographically smallest maximizer over
+    all m! schedules of g's edges."""
+    best_total, best_order = -1, ()
+    for order in permutations(range(g.edge_count)):
+        total = naive_total_for_schedule(g.node_count, g.edges, order)
+        if total > best_total:
+            best_total, best_order = total, order
+    return best_total, best_order
+
+
+def commutation_classes(g) -> int:
+    """Number of classes of g's m! schedules under swaps of adjacent edges
+    that do not chain (neither edge's head is the other's tail).  Two
+    schedules share a class exactly when every chaining pair of edges
+    fires in the same relative order in both."""
+    m, edges = g.edge_count, g.edges
+    chaining = [
+        (i, j)
+        for i, j in combinations(range(m), 2)
+        if edges[i][1] == edges[j][0] or edges[j][1] == edges[i][0]
+    ]
+    signatures = set()
+    for order in permutations(range(m)):
+        position = {ei: pos for pos, ei in enumerate(order)}
+        signatures.add(tuple(position[i] < position[j] for i, j in chaining))
+    return len(signatures)
 
 
 def brute_force_satisfying_assignments(clauses, n: int) -> list[tuple[bool, ...]]:

@@ -122,7 +122,7 @@ def test_solve_exact_path(tmp_path, capsys):
 def test_solve_exact_four_cycle(four_cycle, capsys):
     report = run_json(["solve", four_cycle], capsys)
     assert report["result"]["total"] == 13
-    assert report["result"]["explored"] == 24
+    assert report["result"]["explored"] == 14
 
 
 def test_solve_local_and_arb(four_cycle, capsys):
@@ -416,6 +416,14 @@ def test_every_out_prefix_follows_one_rule(tmp_path, monkeypatch, capsys):
     assert Path("d.schedule").read_text() == "0 1 2\n"
     solve = run_json(["solve", "d.digraph", "--out", "./best.sched"], capsys)
     assert solve["run"]["outputs"] == ["best.sched"]
+
+
+def test_manifest_spells_inputs_and_outputs_alike(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("g.digraph").write_text("3 2\n0 1\n1 2\n")
+    run = run_json(["solve", "./g.digraph", "--out", "./x"], capsys)["run"]
+    assert list(run["inputs"]) == ["g.digraph"]
+    assert run["outputs"] == ["x"]
 
 
 def one_line_error(args, capsys):

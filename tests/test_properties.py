@@ -2,10 +2,11 @@
 instances and the arborescence-pair searches, by Hypothesis.
 
 Evaluated graphs stay small (n <= 5, m <= 7) so the subset-enumeration
-oracle remains cheap, and the arborescence-pair comparison stays at
-n <= 6, m <= 9 so the 3^m labeling oracle does; self-loops and parallel
-edges are allowed throughout, except where the solvers are compared,
-since they refuse self-loops.
+oracle remains cheap; the exact-search comparison stays at m <= 6 so the
+m! schedule oracle built on it does, and the arborescence-pair
+comparison at n <= 6, m <= 9 so the 3^m labeling oracle does.
+Self-loops and parallel edges are allowed throughout, except where the
+solvers are compared, since they refuse self-loops.
 """
 
 import tempfile
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from oracle import (
     best_pair_by_labeling,
     brute_force_satisfying_assignments,
+    commutation_classes,
     naive_reach_pairs,
+    oracle_best,
 )
 
 from mret.astra import check_pair, exact_pair, greedy_pair, greedy_pairs
@@ -48,7 +51,7 @@ from mret.reduction import (
     schedule_from_assignment,
     write_instance,
 )
-from mret.solvers import solve_exact, solve_local
+from mret.solvers import dependent, solve_exact, solve_local
 
 # derandomized: the same examples on every run, so a failure reproduces
 check = settings(deadline=None, derandomize=True)
@@ -63,9 +66,9 @@ def digraphs(draw, max_nodes=5, max_edges=7):
 
 
 @st.composite
-def loop_free(draw):
+def loop_free(draw, max_edges=7):
     """A digraph without self-loops, which the solvers refuse."""
-    g = draw(digraphs())
+    g = draw(digraphs(max_edges=max_edges))
     return Digraph(g.node_count, tuple((a, b) for a, b in g.edges if a != b))
 
 
@@ -285,3 +288,26 @@ def test_local_never_beats_exact(g, seed):
     local = solve_local(g, seed)
     assert local.best_total <= solve_exact(g).best_total
     assert total_reachability(g, local.best_schedule) == local.best_total
+
+
+@check
+@given(loop_free(max_edges=6))
+def test_exact_matches_the_permutation_oracle(g):
+    res = solve_exact(g)
+    assert (res.best_total, res.best_schedule.order) == oracle_best(g)
+    # one evaluation per class: none skipped, none repeated
+    assert res.explored == commutation_classes(g)
+
+
+@check
+@given(scheduled())
+def test_swapping_commuting_edges_keeps_the_total(gs):
+    # self-loops stay in: a loop fires as a no-op, so `dependent` calling
+    # some of its pairs chaining is only conservative
+    g, s = gs
+    total = total_reachability(g, s)
+    order = list(s.order)
+    for j in range(len(order) - 1):
+        if not dependent(g.edges[order[j]], g.edges[order[j + 1]]):
+            swapped = order[:j] + [order[j + 1], order[j]] + order[j + 2 :]
+            assert total_reachability(g, Schedule(tuple(swapped))) == total

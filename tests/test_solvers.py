@@ -1,10 +1,8 @@
 """Solvers against the exhaustive schedule oracle."""
 
-from itertools import permutations
-
 import pytest
 
-from oracle import naive_total_for_schedule
+from oracle import oracle_best
 
 from mret import solvers
 from mret.astra import greedy_pair
@@ -14,6 +12,7 @@ from mret.graphs import Digraph, Schedule
 from mret.reachability import evaluate_schedule
 from mret.solvers import (
     arborescence_order,
+    dependent,
     solve_arborescence,
     solve_exact,
     solve_local,
@@ -22,16 +21,6 @@ from mret.solvers import (
 
 def dcycle(n):
     return Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def oracle_best(g):
-    """Lexicographically smallest maximizer over all m! orders."""
-    best_total, best_order = -1, None
-    for order in permutations(range(g.edge_count)):
-        total = naive_total_for_schedule(g.node_count, g.edges, order)
-        if total > best_total:
-            best_total, best_order = total, order
-    return best_total, best_order
 
 
 def test_exact_path():
@@ -56,7 +45,27 @@ def test_exact_four_cycle():
     res = solve_exact(g)
     assert res.best_total == 13
     assert res.best_schedule.order == want_order == (0, 1, 2, 3)
-    assert res.explored == 24
+    assert res.explored == 14
+
+
+def test_commuting_edges_form_one_class():
+    # no edge's head is another's tail, so every order is the same
+    g = Digraph(4, ((0, 1), (2, 3), (0, 1)))
+    res = solve_exact(g)
+    assert res.explored == 1
+    assert res.best_schedule.order == (0, 1, 2)
+    assert res.best_total == 6
+    # local search evaluates its start orders and no swap
+    assert solve_local(g, seed=0, restarts=3).explored == 3
+
+
+def test_dependent_edges_chain():
+    assert dependent((0, 1), (1, 2))
+    assert dependent((1, 2), (0, 1))
+    assert dependent((0, 1), (1, 0))
+    assert not dependent((0, 1), (0, 1))  # parallel
+    assert not dependent((0, 1), (0, 2))  # shared tail
+    assert not dependent((0, 2), (1, 2))  # shared head
 
 
 def test_exact_matches_oracle_sweep():
