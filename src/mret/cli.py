@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -57,8 +58,22 @@ from .solvers import solve_arborescence, solve_exact, solve_local
 PRNG = "mt19937"
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing `path` would raise, changing no file."""
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        # a missing file is created by the write, if its directory exists
+        if not path.parent.is_dir():
+            raise
+
+
 class _Run:
-    """Replay manifest builder: input digests, outputs, timing."""
+    """Replay manifest builder: input digests, outputs, timing.
+
+    Writes are all-or-nothing: `write` only queues a file, and `commit`
+    checks every queued target before it writes the first one.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
@@ -66,6 +81,7 @@ class _Run:
         self.seed = getattr(args, "seed", None)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.pending: list[tuple[Path, str]] = []
         self.started = time.perf_counter()
 
     def read(self, path: str | Path) -> str:
@@ -74,8 +90,15 @@ class _Run:
         return data.decode()
 
     def write(self, path: str | Path, text: str) -> None:
-        Path(path).write_text(text, encoding="utf-8")
+        self.pending.append((Path(path), text))
         self.outputs.append(str(Path(path)))
+
+    def commit(self) -> None:
+        """Write every queued file as UTF-8, or raise before writing any."""
+        for path, _ in self.pending:
+            _check_writable(path)
+        for path, text in self.pending:
+            path.write_text(text, encoding="utf-8")
 
     def to_json(self) -> dict:
         return {
@@ -331,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(args)
     try:
         result = args.func(args, run)
+        run.commit()
     except ScaleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

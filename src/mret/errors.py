@@ -23,8 +23,8 @@ def parse_file(parse, read, path, *args):
 
 
 class ScaleLimitError(Exception):
-    """An exact method was asked to run beyond its edge-count limit.
+    """An operation was asked to run beyond one of its scale limits.
 
-    Raised instead of silently truncating the search; the CLI maps this
-    to exit code 2.
+    Raised before the work starts, instead of truncating it or running
+    out of time or memory; the CLI maps this to exit code 2.
     """

@@ -25,9 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError
+
+
+def _exact(values, kind) -> bool:
+    """Whether every item of `values` has type `kind` itself, not a subclass."""
+    return set(map(type, values)) <= {kind}
 
 
 @dataclass(frozen=True)
@@ -43,15 +49,19 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 0:
+        n = self.node_count
+        if n < 0:
             raise ValueError("node_count must be non-negative")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for i, (a, b) in enumerate(edges):
-            if not (0 <= a < self.node_count and 0 <= b < self.node_count):
-                raise ValueError(
-                    f"edge {i} endpoint out of range: ({a}, {b}) with n={self.node_count}"
-                )
+        edges = self.edges
+        # a tuple of exact-int pairs is kept as it is; anything else is rebuilt
+        if not (type(edges) is tuple and _exact(edges, tuple) and set(map(len, edges)) <= {2}
+                and _exact(chain.from_iterable(edges), int)):
+            edges = tuple((int(a), int(b)) for a, b in edges)
+            object.__setattr__(self, "edges", edges)
+        if edges and (min(chain.from_iterable(edges)) < 0 or max(chain.from_iterable(edges)) >= n):
+            for i, (a, b) in enumerate(edges):
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"edge {i} endpoint out of range: ({a}, {b}) with n={n}")
 
     @property
     def edge_count(self) -> int:
@@ -85,11 +95,19 @@ class Temporalisation:
     times: tuple[int, ...]
 
     def __post_init__(self):
-        times = tuple(int(t) for t in self.times)
-        object.__setattr__(self, "times", times)
-        for i, t in enumerate(times):
-            if t < 1:
-                raise ValueError(f"time label of edge {i} must be >= 1, got {t}")
+        times = self.times
+        if not (type(times) is tuple and _exact(times, int)):
+            times = tuple(int(t) for t in times)
+            object.__setattr__(self, "times", times)
+        if times and min(times) < 1:
+            for i, t in enumerate(times):
+                if t < 1:
+                    raise ValueError(f"time label of edge {i} must be >= 1, got {t}")
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Edge indices stably sorted by time label, ties by edge index."""
+        return tuple(sorted(range(len(self.times)), key=self.times.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -99,9 +117,13 @@ class Schedule:
     order: tuple[int, ...]
 
     def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        object.__setattr__(self, "order", order)
-        if sorted(order) != list(range(len(order))):
+        order = self.order
+        if not (type(order) is tuple and _exact(order, int)):
+            order = tuple(int(i) for i in order)
+            object.__setattr__(self, "order", order)
+        # m distinct integers in 0..m-1 are exactly a permutation of them
+        if order and (min(order) != 0 or max(order) != len(order) - 1
+                      or len(set(order)) != len(order)):
             raise ValueError("order is not a permutation of 0..m-1")
 
 
@@ -126,9 +148,36 @@ def _ints(line: str, lineno: int, expect: int, what: str) -> list[int]:
         raise ParseError(f"{what}: non-integer field in {line!r}", lineno) from None
 
 
-def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, list[int]]:
+def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, Temporalisation | None]:
     """Shared core of the digraph and temporal-graph formats: the graph
-    and, when `timed`, the time label of every edge line."""
+    and, when `timed`, the time labels of its edge lines.
+
+    One bulk pass splits and converts the whole file, and the value
+    types check the endpoints and labels.  A file that fails any check
+    is parsed again line by line, which names the first bad line.
+    """
+    fields = 3 if timed else 2
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    # the number of tokens of each data line; blank lines have none
+    widths = list(filter(None, map(len, map(str.split, lines))))
+    m = len(widths) - 1
+    if m >= 0 and widths[0] == 2 and widths[1:].count(fields) == m:
+        try:
+            values = list(map(int, "\n".join(lines).split()))
+            if values[1] == m:
+                n, body = values[0], values[2:]
+                g = Digraph(n, tuple(zip(body[0::fields], body[1::fields])))
+                return g, Temporalisation(tuple(body[2::3])) if timed else None
+        except ValueError:  # a non-integer, an endpoint out of range or a label below 1
+            pass
+    return _parse_edge_table_by_line(text, timed)
+
+
+def _parse_edge_table_by_line(text: str, timed: bool) -> tuple[Digraph, Temporalisation | None]:
+    """`_parse_edge_table` one line at a time; raises a ParseError that
+    names the first bad line."""
     what, fields = ("temporal edge", 3) if timed else ("edge", 2)
     lines = _data_lines(text)
     if not lines:
@@ -152,7 +201,7 @@ def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, list[int]]:
                 raise ParseError(f"time label must be >= 1, got {row[2]}", lineno)
             times.append(row[2])
         edges.append((a, b))
-    return Digraph(n, tuple(edges)), times
+    return Digraph(n, tuple(edges)), Temporalisation(tuple(times)) if timed else None
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -168,8 +217,7 @@ def format_digraph(g: Digraph) -> str:
 
 def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:
     """Parse the temporal-graph file format (``tail head time`` lines)."""
-    g, times = _parse_edge_table(text, timed=True)
-    return g, Temporalisation(tuple(times))
+    return _parse_edge_table(text, timed=True)
 
 
 def format_temporal_graph(g: Digraph, t: Temporalisation) -> str:
@@ -225,15 +273,18 @@ def parse_timing(text: str, edge_count: int, kind: str = "auto") -> Schedule | T
         raise ParseError(f"{name} file must have exactly one data line, found {len(lines)}")
     lineno, line = lines[0]
     try:
-        values = [int(p) for p in line.split()]
+        values = tuple(map(int, line.split()))
     except ValueError:
         raise ParseError(f"non-integer {one}", lineno) from None
     if len(values) != edge_count:
         raise ParseError(f"expected {edge_count} {several}, got {len(values)}", lineno)
     if kind == "auto":
-        kind = "schedule" if sorted(values) == list(range(edge_count)) else "times"
+        try:
+            return Schedule(values)
+        except ValueError:  # not a permutation, so a times file
+            kind = "times"
     try:
-        return (Schedule if kind == "schedule" else Temporalisation)(tuple(values))
+        return (Schedule if kind == "schedule" else Temporalisation)(values)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
 
@@ -280,6 +331,12 @@ def is_strongly_connected(g: Digraph) -> bool:
     """True iff every node reaches every node in the static digraph.
 
     Linear time: node 0 must reach all nodes forwards and backwards.
+    Every node of a strongly connected digraph on n >= 2 nodes has an
+    out-edge, so fewer than n edges are refused before any per-node
+    allocation.
     """
     n = g.node_count
-    return n <= 1 or all(len(bfs_tree(adj, [0])[0]) == n for adj in (g.out_adj, g.in_adj))
+    if n <= 1:
+        return True
+    return g.edge_count >= n and all(
+        len(bfs_tree(adj, [0])[0]) == n for adj in (g.out_adj, g.in_adj))

@@ -24,8 +24,15 @@ total must equal the sum of the reverse counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
+from .errors import ScaleLimitError
 from .graphs import Digraph, Schedule, Temporalisation
+
+# The reach sets of n nodes grow to n*n bits.  Up to this many the engine
+# allocates them (512 MiB per pass, n <= 65,536); beyond it it refuses.
+REACH_BITS_LIMIT = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -54,13 +61,27 @@ class ReachabilityResult:
         return {v for v in range(self.node_count) if self.reach_from[v] >> u & 1}
 
 
+def initial_reach(node_count: int) -> list[int]:
+    """Every node's reach set before any edge fires: just the node itself.
+
+    Refuses with ScaleLimitError, before allocating, a node count whose
+    reach sets may outgrow `REACH_BITS_LIMIT`.
+    """
+    if node_count * node_count > REACH_BITS_LIMIT:
+        raise ScaleLimitError(
+            f"evaluation infeasible at this scale: the reach sets of {node_count} nodes "
+            f"take up to {node_count * node_count} bits, over the limit of {REACH_BITS_LIMIT}"
+        )
+    return [1 << v for v in range(node_count)]
+
+
 def _propagate(node_count: int, edges, order, ends=None) -> list[int]:
     """Reach sets after firing `edges[ei]` for every `ei` of `order`.
 
     `ends` lists the exclusive end positions in `order` of the runs of
     equal times; None means every edge has its own time.
     """
-    reach = [1 << v for v in range(node_count)]
+    reach = initial_reach(node_count)
     if ends is None:
         for ei in order:
             a, b = edges[ei]
@@ -90,8 +111,10 @@ def _timeline(g: Digraph, timing: Schedule | Temporalisation):
         raise ValueError(
             f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
         )
-    order = sorted(range(len(times)), key=times.__getitem__)
-    ends = [i for i in range(1, len(order)) if times[order[i - 1]] != times[order[i]]]
+    order = timing.order
+    ranked = list(map(times.__getitem__, order))
+    # a run of equal times ends wherever the next ranked label differs
+    ends = list(compress(range(1, len(order)), map(ne, ranked, ranked[1:])))
     ends.append(len(order))
     return order, ends
 
@@ -137,5 +160,4 @@ def schedule_from_temporalisation(t: Temporalisation) -> Schedule:
     enable new ones, so its total reachability is >= that of `t`; with
     all-distinct labels the two are equal.
     """
-    times = t.times
-    return Schedule(tuple(sorted(range(len(times)), key=lambda i: times[i])))
+    return Schedule(t.order)

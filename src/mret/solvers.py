@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .astra import ArborescencePair, greedy_pairs
 from .errors import ScaleLimitError
 from .graphs import Digraph, Schedule
-from .reachability import _propagate
+from .reachability import _propagate, initial_reach
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
         )
     edges = g.edges
     chains = [[dependent(e, f) for f in edges] for e in edges]
-    reach = [1 << v for v in range(g.node_count)]
+    reach = initial_reach(g.node_count)
     total = g.node_count
     unused = [True] * m
     prefix: list[int] = []

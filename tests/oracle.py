@@ -144,3 +144,46 @@ def best_pair_by_labeling(node_count, edges, root) -> tuple[int, int, int]:
         if (cand[0], cand[1] + cand[2]) > (best[0], best[1] + best[2]):
             best = cand
     return best
+
+
+_TIMING_WORDS = {
+    "auto": ("timing", "value", "values"),
+    "schedule": ("schedule", "edge index", "edge indices"),
+    "times": ("times", "time label", "time labels"),
+}
+
+
+def timing_outcome(text: str, edge_count: int, kind: str = "auto") -> tuple:
+    """What reading a schedule or times file must give, value by value:
+    ("schedule", order), ("times", labels) or ("error", message).
+
+    A permutation of 0..m-1 is a schedule, anything else under
+    ``kind="auto"`` a times file; a bad line is named by its number.
+    """
+    name, one, several = _TIMING_WORDS[kind]
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    if edge_count == 0 and not lines:
+        return ("times" if kind == "times" else "schedule"), ()
+    if len(lines) != 1:
+        return "error", f"{name} file must have exactly one data line, found {len(lines)}"
+    lineno, line = lines[0]
+    try:
+        values = tuple(int(p) for p in line.split())
+    except ValueError:
+        return "error", f"line {lineno}: non-integer {one}"
+    if len(values) != edge_count:
+        return "error", f"line {lineno}: expected {edge_count} {several}, got {len(values)}"
+    if kind == "auto":
+        kind = "schedule" if sorted(values) == list(range(edge_count)) else "times"
+    if kind == "schedule":
+        if sorted(values) != list(range(edge_count)):
+            return "error", f"line {lineno}: order is not a permutation of 0..m-1"
+        return "schedule", values
+    for i, t in enumerate(values):
+        if t < 1:
+            return "error", f"line {lineno}: time label of edge {i} must be >= 1, got {t}"
+    return "times", values

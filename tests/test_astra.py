@@ -6,6 +6,7 @@ import pytest
 
 from oracle import best_pair_by_labeling
 
+from mret import astra
 from mret.astra import best_root, check_pair, exact_pair, greedy_pair
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
@@ -300,3 +301,19 @@ def test_greedy_pair_golden():
     pair = greedy_pair(gen_random_sc(12, 30, seed=2), 3, seed=7)
     assert sorted(pair.out_edges) == [2, 3, 8, 21, 22, 23, 27, 30, 37, 39, 40]
     assert sorted(pair.in_edges) == [0, 1, 6, 10, 11, 12, 20, 24, 31, 33, 38]
+
+
+def test_greedy_sweep_work_bound(monkeypatch):
+    # the bound admits the benchmark's sweeps (random-sc n=200, m=800 and
+    # the fig3 k=100 windmill) and refuses one at criterion 9's size
+    fig = gen_fig3(100)[0]
+    for n, m in ((200, 800), (fig.node_count, fig.edge_count)):
+        assert n * (n + m) <= astra.GREEDY_SWEEP_WORK_LIMIT
+    assert 10**4 * (10**4 + 10**5) > astra.GREEDY_SWEEP_WORK_LIMIT
+    g = gen_random_sc(6, 4, seed=1)
+    monkeypatch.setattr(astra, "GREEDY_SWEEP_WORK_LIMIT", 5 * (6 + 10))
+    for sweep in (lambda: best_root(g, "greedy"), lambda: solve_arborescence(g)):
+        with pytest.raises(ScaleLimitError, match="6 roots over 6 nodes and 10 edges"):
+            sweep()
+    assert solve_arborescence(g, root=2).certificate
+    check_pair(g, greedy_pair(g, 2))

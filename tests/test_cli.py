@@ -11,7 +11,7 @@ import pytest
 from instances import oversized_instance_texts, refuse_to_build
 
 import mret
-from mret import reduction
+from mret import astra, reachability, reduction
 from mret.cli import main
 from mret.reduction import instance_paths
 
@@ -143,6 +143,43 @@ def test_solve_scale_limit(tmp_path, capsys):
     assert "infeasible" in err
     assert main(["solve", str(path), "--limit", "12", "--method", "local"]) == 0
     capsys.readouterr()
+
+
+def test_scale_refusals_exit_two(four_cycle, tmp_path, monkeypatch, capsys):
+    sched = tmp_path / "s.txt"
+    sched.write_text("0 1 2 3\n")
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 15)
+    code, out, err = run_cli(["eval", four_cycle, str(sched)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation infeasible at this scale: the reach sets of 4 nodes " \
+        "take up to 16 bits, over the limit of 15\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(astra, "GREEDY_SWEEP_WORK_LIMIT", 31)
+    for command in (["solve", four_cycle, "--method", "arb"],
+                    ["astra", four_cycle, "--method", "greedy"]):
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "") and "greedy sweep infeasible" in err
+        assert run_cli([*command, "--root", "1"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("command, blocked", [
+    (["gen", "fig3", "--k", "1", "--out", "w.digraph"], "w.digraph.roles"),
+    (["reduce", "f.cnf", "--k", "2", "--m-param", "5", "--out", "inst"], "inst.manifest.json"),
+    (["convert", "tg.txt", "--out", "conv"], "conv.schedule"),
+])
+def test_writes_are_all_or_nothing(command, blocked, tmp_path, monkeypatch, capsys):
+    # a directory where a later output goes: the command writes no file
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(EXAMPLE_CNF)
+    Path("tg.txt").write_text("3 3\n0 1 5\n1 2 9\n2 0 9\n")
+    Path(blocked).mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(command, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+    assert sorted(tmp_path.iterdir()) == before
+    Path(blocked).rmdir()
+    assert run_cli(command, capsys)[0] == 0 and Path(blocked).is_file()
 
 
 def test_reduce_writes_instance(tmp_path, capsys):

@@ -73,6 +73,30 @@ def test_digraph_rejects_bad_endpoint_at_construction():
         Digraph(2, ((0, 5),))
 
 
+def test_digraph_keeps_exact_int_pairs_and_rebuilds_the_rest():
+    edges = ((0, 1), (1, 0))
+    assert Digraph(2, edges).edges is edges
+    for given in ([(0, 1), (1, 0)], ((0, 1), [1, 0]), ((False, True), (1, 0)), ((0.0, 1), (1, 0))):
+        rebuilt = Digraph(2, given).edges
+        assert rebuilt == edges and {type(v) for e in rebuilt for v in e} == {int}
+
+
+def test_value_types_name_the_first_bad_value():
+    with pytest.raises(ValueError, match=r"^edge 2 endpoint out of range: \(2, 0\) with n=2$"):
+        Digraph(2, ((0, 1), (1, 0), (2, 0), (-1, 0)))
+    with pytest.raises(ValueError, match="^time label of edge 1 must be >= 1, got 0$"):
+        Temporalisation((3, 0, -1))
+
+
+def test_schedule_permutation_check():
+    order = (2, 0, 1)
+    assert Schedule(order).order is order
+    assert Schedule([2, 0, 1]).order == order
+    for bad in ((0, 2, 2, 3), (1, 2, 3), (0, 1, 3), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="permutation"):
+            Schedule(bad)
+
+
 def test_adjacency_indexes_match_edge_order():
     g = Digraph(3, ((0, 1), (0, 2), (1, 2)))
     assert g.out_adj[0] == ((1, 0), (2, 1))
@@ -132,6 +156,12 @@ def test_strongly_connected_examples():
     assert is_strongly_connected(parse_digraph("1 0"))
     assert not is_strongly_connected(parse_digraph("2 0"))
     assert is_strongly_connected(parse_digraph("4 4\n0 1\n1 2\n2 3\n3 0"))
+
+
+def test_too_few_edges_are_not_strongly_connected_without_adjacency():
+    g = Digraph(3, ((0, 1), (1, 0)))
+    assert not is_strongly_connected(g)
+    assert "out_adj" not in vars(g) and "in_adj" not in vars(g)
 
 
 def test_bfs_tree_sources_and_banned_edges():

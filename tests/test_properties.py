@@ -21,18 +21,23 @@ from oracle import (
     commutation_classes,
     naive_reach_pairs,
     oracle_best,
+    timing_outcome,
 )
 
 from mret.astra import check_pair, exact_pair, greedy_pair, greedy_pairs
 from mret.cnf import CnfFormula
+from mret.errors import ParseError
 from mret.graphs import (
     Digraph,
     Schedule,
     Temporalisation,
+    _parse_edge_table,
+    _parse_edge_table_by_line,
     format_digraph,
     format_schedule,
     format_temporal_graph,
     parse_digraph,
+    parse_roles,
     parse_schedule,
     parse_temporal_graph,
     parse_times,
@@ -55,6 +60,8 @@ from mret.solvers import dependent, solve_exact, solve_local
 
 # derandomized: the same examples on every run, so a failure reproduces
 check = settings(deadline=None, derandomize=True)
+# mutated input files: more examples, so that every error of every parser shows up
+check_mutated = settings(check, max_examples=300)
 
 
 @st.composite
@@ -311,3 +318,119 @@ def test_swapping_commuting_edges_keeps_the_total(gs):
         if not dependent(g.edges[order[j]], g.edges[order[j + 1]]):
             swapped = order[:j] + [order[j + 1], order[j]] + order[j + 2 :]
             assert total_reachability(g, Schedule(tuple(swapped))) == total
+
+
+# -- the bulk parsers against the line-by-line ones ---------------------------
+
+_SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t "])
+_PAD = st.sampled_from(["", " ", "\t", " \t"])
+_NOISE_LINE = st.sampled_from(["", "  ", "\t", "# comment", "  # 1 2 3", "#", "#0 1"])
+
+
+@st.composite
+def rendered(draw, rows):
+    """A file of token `rows` with the noise every reader skips: comment
+    and blank lines, CRLF, tabs, leading and trailing whitespace."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in [*rows, None]:
+        lines += draw(st.lists(_NOISE_LINE, max_size=2))
+        if row is not None:
+            lines.append(draw(_PAD) + draw(_SEPARATOR).join(row) + draw(_PAD))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+MUTATIONS = ("drop a token", "add a token", "non-integer", "endpoint out of range",
+             "label of 0", "header count off by one", "# inside a line", "drop a line")
+
+
+@st.composite
+def mutated(draw, rows, n, count=1):
+    """`rows` with one of `MUTATIONS`; the result may still be valid.
+    `rows[0][count]` is the count that the header mutation changes."""
+    rows = [list(row) for row in rows]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    # endpoints and labels sit after the header, where there is one
+    first = 1 if mutation in ("endpoint out of range", "label of 0") and len(rows) > 1 else 0
+    i = draw(st.integers(first, len(rows) - 1))
+    row = rows[i]
+    at = st.integers(0, len(row) - 1)
+    if mutation == "drop a line":
+        del rows[i]
+    elif mutation == "drop a token":
+        del row[draw(at)]
+    elif mutation == "add a token":
+        row.insert(draw(st.integers(0, len(row))), str(draw(st.integers(-1, n))))
+    elif mutation == "non-integer":
+        row[draw(at)] = draw(st.sampled_from(["x", "1.5", "0x1", "--2"]))
+    elif mutation == "endpoint out of range":
+        row[draw(st.integers(0, min(1, len(row) - 1)))] = draw(st.sampled_from([str(n), "-1"]))
+    elif mutation == "label of 0":
+        row[-1] = "0"
+    elif mutation == "header count off by one":
+        rows[0][count] = str(int(rows[0][count]) + draw(st.sampled_from([-1, 1])))
+    else:
+        j = draw(at)
+        row[j] = draw(st.sampled_from(["#", "#" + row[j], row[j] + "#"]))
+    return rows
+
+
+def outcome(parse, *args):
+    """("ok", value) or ("error", message) of `parse(*args)`."""
+    try:
+        return "ok", parse(*args)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def edge_rows(g, t=None):
+    rows = [[str(g.node_count), str(g.edge_count)]]
+    rows += [[str(a), str(b)] for a, b in g.edges]
+    if t is not None:
+        for row, label in zip(rows[1:], t.times):
+            row.append(str(label))
+    return rows
+
+
+@check
+@given(st.data(), temporalised(max_label=9), st.booleans())
+def test_bulk_edge_table_matches_line_parser(data, gt, timed):
+    g, t = gt
+    t = t if timed else None
+    text = data.draw(rendered(edge_rows(g, t)))
+    assert _parse_edge_table(text, timed) == _parse_edge_table_by_line(text, timed) == (g, t)
+
+
+@check_mutated
+@given(st.data(), temporalised(max_label=9), st.booleans())
+def test_bulk_edge_table_errors_match_line_parser(data, gt, timed):
+    g, t = gt
+    rows = data.draw(mutated(edge_rows(g, t if timed else None), g.node_count))
+    text = data.draw(rendered(rows))
+    assert outcome(_parse_edge_table, text, timed) == outcome(_parse_edge_table_by_line, text, timed)
+
+
+@check
+@given(st.data(), st.lists(st.text("abxyz_01#", min_size=1, max_size=4), max_size=8))
+def test_noisy_roles_files(data, roles):
+    text = data.draw(rendered([[str(i), role] for i, role in enumerate(roles)]))
+    assert parse_roles(text) == tuple(roles)
+
+
+def timing_kind(timing):
+    return ("schedule", timing.order) if isinstance(timing, Schedule) else ("times", timing.times)
+
+
+@check_mutated
+@given(st.data(), temporalised(max_label=9), st.sampled_from(["auto", "schedule", "times"]))
+def test_timing_files_match_the_reference(data, gt, kind):
+    g, t = gt
+    m = g.edge_count
+    values = data.draw(st.sampled_from([t.times, tuple(data.draw(st.permutations(range(m))))]))
+    rows = [[str(v) for v in values]] if m else []
+    if m and data.draw(st.booleans()):
+        rows = data.draw(mutated(rows, m, count=0))
+    text = data.draw(rendered(rows))
+    got = outcome(parse_timing, text, m, kind)
+    got = timing_kind(got[1]) if got[0] == "ok" else got
+    assert got == timing_outcome(text, m, kind)

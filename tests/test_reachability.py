@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from mret import reachability
+from mret.errors import ScaleLimitError
 from mret.graphs import Digraph, Schedule, Temporalisation
 from mret.reachability import (
     evaluate_schedule,
@@ -11,6 +12,7 @@ from mret.reachability import (
     schedule_from_temporalisation,
     total_reachability,
 )
+from mret.solvers import solve_exact
 
 from oracle import naive_counts_for_schedule, naive_reach_pairs, naive_total_for_schedule
 
@@ -206,3 +208,26 @@ def test_total_reachability_is_the_forward_total():
         total_reachability(PATH3, Schedule((0,)))
     with pytest.raises(ValueError, match="does not match"):
         total_reachability(PATH3, Temporalisation((1,)))
+
+
+def test_node_count_over_the_reach_budget_is_refused(monkeypatch):
+    # the real budget admits n = 30,000 and refuses n = 10^6 (62 GB of bits)
+    assert 30_000**2 <= reachability.REACH_BITS_LIMIT < 1_000_000**2
+    # a budget of 100 bits admits 10 nodes; refusing 11 allocates nothing
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 100)
+    small = Digraph(10, ((0, 1),))
+    assert total_reachability(small, Schedule((0,))) == 11
+    big = Digraph(11, ())
+    for evaluate in (total_reachability, evaluate_schedule):
+        with pytest.raises(ScaleLimitError, match="reach sets of 11 nodes"):
+            evaluate(big, Schedule(()))
+    with pytest.raises(ScaleLimitError):
+        evaluate_temporalisation(big, Temporalisation(()))
+    with pytest.raises(ScaleLimitError):
+        solve_exact(big)
+
+
+def test_one_time_order_for_the_engine_and_the_schedule():
+    t = Temporalisation((3, 1, 3, 2))
+    assert t.order == (1, 3, 0, 2)
+    assert schedule_from_temporalisation(t).order is t.order
