@@ -57,8 +57,9 @@ def gen_random_sc(n: int, extra_edges: int, seed: int = 0) -> Digraph:
     """Random Hamiltonian cycle plus `extra_edges` distinct non-loop edges.
 
     The cycle guarantees strong connectivity; the extras are sampled
-    without replacement from the remaining ordered pairs.  Deterministic
-    for a given (n, extra_edges, seed).
+    without replacement from the remaining ordered pairs, by their index
+    in (u, v) order, so the pairs are never listed.  Deterministic for a
+    given (n, extra_edges, seed).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -69,12 +70,15 @@ def gen_random_sc(n: int, extra_edges: int, seed: int = 0) -> Digraph:
     perm = list(range(n))
     rng.shuffle(perm)
     cycle = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
-    taken = set(cycle)
-    candidates = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and (u, v) not in taken
-    ]
-    extras = rng.sample(candidates, extra_edges)
+    succ = dict(cycle)
+
+    def candidate(i: int) -> tuple[int, int]:
+        """The i-th free pair in (u, v) order: row u skips v = u and v = succ[u]."""
+        u, v = divmod(i, n - 2)
+        for skipped in sorted((u, succ[u])):
+            if v >= skipped:
+                v += 1
+        return u, v
+
+    extras = [candidate(i) for i in rng.sample(range(slots), extra_edges)]
     return Digraph(n, tuple(cycle + extras))

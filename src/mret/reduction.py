@@ -9,7 +9,7 @@ for unsatisfiable formulas at official parameter sizes every schedule
 stays below L; that direction rests on the bound arithmetic, checked by
 `check_bounds`, not on search.
 
-Node layout (deterministic ids): u1,u2,u3,u4; b_1..b_M; then per
+Node layout (`_layout` hands out ids in this order): u1,u2,u3,u4; b_1..b_M; then per
 variable i: t_i^1,t_i^2,f_i^1,f_i^2; then per clause j: c_j^1,c_j^2,
 d_j^1..d_j^K,e_j^1..e_j^K.
 
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .cnf import CnfFormula
-from .errors import ParseError, parse_file
+from .errors import ParseError, ScaleLimitError, parse_file
 from .graphs import (
     Digraph,
     Schedule,
@@ -40,6 +40,10 @@ from .graphs import (
     prefix_path,
 )
 from .reachability import total_reachability
+
+# nodes + edges of the largest instance built: at the limit `reduce` takes
+# about 2.5 s and 0.6 GB, and certify's parse and rebuild about 1 GB
+INSTANCE_SIZE_LIMIT = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class ReductionParams:
         if K is None:
             K = 91 * n * m
         if M is None:
-            M = (2 * (K + 1) * m + 4 * n + 5) ** 2 + 1
+            M = (cls(n, m, K, 1).h_size + 5) ** 2 + 1
         return cls(n, m, K, M)
 
     @property
@@ -135,48 +139,30 @@ def check_bounds(p: ReductionParams) -> dict:
     }
 
 
-class _Layout:
-    """Node-id arithmetic for the deterministic layout."""
+def _layout(p: ReductionParams):
+    """The roles in layout order, each node's id handed out as its role is
+    named, and the ids grouped: the hubs u1..u4, the b ids, one (t^1, t^2,
+    f^1, f^2) per variable and one (c^1, c^2, d ids, e ids) per clause."""
+    if p.node_count + p.edge_count > INSTANCE_SIZE_LIMIT:
+        raise ScaleLimitError(f"reduction infeasible at this scale: {p.node_count} nodes and "
+                              f"{p.edge_count} edges exceed the limit of {INSTANCE_SIZE_LIMIT}")
+    roles: list[str] = []
 
-    U1, U2, U3, U4 = 0, 1, 2, 3
+    def name(names) -> range:
+        start = len(roles)
+        roles.extend(names)
+        return range(start, len(roles))
 
-    def __init__(self, p: ReductionParams):
-        self.p = p
-        self.var_base = 4 + p.M
-        self.clause_base = self.var_base + 4 * p.n
-        self.clause_stride = 2 + 2 * p.K
-
-    def b(self, i: int) -> int:  # i in 1..M
-        return 4 + (i - 1)
-
-    def gadget(self, i: int) -> range:  # i in 1..n
-        """The ids t_i^1, t_i^2, f_i^1, f_i^2."""
-        start = self.var_base + 4 * (i - 1)
-        return range(start, start + 4)
-
-    def c1(self, j: int) -> int:  # j in 1..m
-        return self.clause_base + self.clause_stride * (j - 1)
-
-    def c2(self, j: int) -> int:
-        return self.c1(j) + 1
-
-    def d(self, j: int, l: int) -> int:  # l in 1..K
-        return self.c1(j) + 2 + (l - 1)
-
-    def e(self, j: int, l: int) -> int:
-        return self.c1(j) + 2 + self.p.K + (l - 1)
-
-    def roles(self) -> tuple[str, ...]:
-        p = self.p
-        out = ["u1", "u2", "u3", "u4"]
-        out += [f"b_{i}" for i in range(1, p.M + 1)]
-        for i in range(1, p.n + 1):
-            out += [f"t_{i}^1", f"t_{i}^2", f"f_{i}^1", f"f_{i}^2"]
-        for j in range(1, p.m + 1):
-            out += [f"c_{j}^1", f"c_{j}^2"]
-            out += [f"d_{j}^{l}" for l in range(1, p.K + 1)]
-            out += [f"e_{j}^{l}" for l in range(1, p.K + 1)]
-        return tuple(out)
+    hubs = name(("u1", "u2", "u3", "u4"))
+    b = name(f"b_{i}" for i in range(1, p.M + 1))
+    gadgets = [name((f"t_{i}^1", f"t_{i}^2", f"f_{i}^1", f"f_{i}^2")) for i in range(1, p.n + 1)]
+    clauses = [
+        (*name((f"c_{j}^1", f"c_{j}^2")),
+         name(f"d_{j}^{l}" for l in range(1, p.K + 1)),
+         name(f"e_{j}^{l}" for l in range(1, p.K + 1)))
+        for j in range(1, p.m + 1)
+    ]
+    return tuple(roles), hubs, b, gadgets, clauses
 
 
 @dataclass(frozen=True)
@@ -200,10 +186,8 @@ def build_instance(
     k_override: int | None = None,
     m_override: int | None = None,
 ) -> ReductionInstance:
-    n, m = f.variable_count, f.clause_count
-    params = ReductionParams.official_for(n, m, K=k_override, M=m_override)
-    K, M = params.K, params.M
-    lay = _Layout(params)
+    params = ReductionParams.official_for(f.variable_count, f.clause_count, k_override, m_override)
+    roles, (u1, u2, u3, u4), b, gadgets, clauses = _layout(params)
     edges: list[tuple[int, int]] = []
     phases: list[list[range]] = [[] for _ in range(11)]
 
@@ -212,32 +196,32 @@ def build_instance(
         edges.extend(pairs)
         phases[phase].append(range(start, len(edges)))
 
-    for i in range(1, n + 1):
-        t1, t2, f1, f2 = lay.gadget(i)
+    for t1, t2, f1, f2 in gadgets:
         emit(5, [(t1, f2), (f2, f1), (f1, t2), (t2, t1)])
-    for j, clause in enumerate(f.clauses, start=1):
+    for (c1, c2, _, _), clause in zip(clauses, f.clauses):
         for v, positive in clause:
-            t1, t2, f1, f2 = lay.gadget(v + 1)
+            t1, t2, f1, f2 = gadgets[v]
             into, out = (t1, t2) if positive else (f1, f2)
-            emit(4, [(lay.c1(j), into)])
-            emit(6, [(out, lay.c2(j))])
-    for j in range(1, m + 1):
-        emit(4, [(lay.c1(j), lay.c2(h)) for h in range(1, m + 1) if h != j])
-    for j in range(1, m + 1):
-        emit(3, [(lay.d(j, l), lay.c1(j)) for l in range(1, K + 1)])
-        emit(7, [(lay.c2(j), lay.e(j, l)) for l in range(1, K + 1)])
-    emit(0, [(lay.b(i), lay.U1) for i in range(1, M + 1)])
-    emit(1, [(lay.U1, lay.U2)])
-    emit(2, [(lay.U2, lay.d(j, l)) for j in range(1, m + 1) for l in range(1, K + 1)])
-    emit(8, [(lay.e(j, l), lay.U3) for j in range(1, m + 1) for l in range(1, K + 1)])
-    emit(9, [(lay.U3, lay.U4)])
-    emit(10, [(lay.U4, lay.b(i)) for i in range(1, M + 1)])
+            emit(4, [(c1, into)])
+            emit(6, [(out, c2)])
+    for c1, own_c2, _, _ in clauses:
+        emit(4, [(c1, c2) for _, c2, _, _ in clauses if c2 != own_c2])
+    for c1, c2, d, e in clauses:
+        emit(3, [(x, c1) for x in d])
+        emit(7, [(c2, x) for x in e])
+    emit(0, [(x, u1) for x in b])
+    emit(1, [(u1, u2)])
+    emit(2, [(u2, x) for _, _, d, _ in clauses for x in d])
+    emit(8, [(x, u3) for _, _, _, e in clauses for x in e])
+    emit(9, [(u3, u4)])
+    emit(10, [(u4, x) for x in b])
 
-    g = Digraph(params.node_count, tuple(edges))
-    if g.edge_count != params.edge_count:
-        raise RuntimeError(f"built {g.edge_count} edges, {params} needs {params.edge_count}")
+    if (len(edges), len(roles)) != (params.edge_count, params.node_count):
+        raise RuntimeError(f"built {len(edges)} edges and {len(roles)} nodes, {params} "
+                           f"needs {params.edge_count} and {params.node_count}")
+    g = Digraph(len(roles), tuple(edges))
     bounds = (lower_bound(params), upper_bound_one(params), upper_bound_two(params))
-    return ReductionInstance(g, lay.roles(), params, f, bounds, tuple(map(tuple, phases)))
+    return ReductionInstance(g, roles, params, f, bounds, tuple(map(tuple, phases)))
 
 
 def variable_gadget_activation(times: Sequence[int]) -> tuple[bool, bool]:
@@ -336,19 +320,15 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
     if (g.node_count, g.edge_count) != (params.node_count, params.edge_count):
         raise ParseError(f"{graph_path} does not match its manifest parameters")
-    lay = _Layout(params)
-
-    literals: dict[int, list[tuple[int, bool]]] = {j: [] for j in range(1, params.m + 1)}
-    for a, b in g.edges:
-        if a >= lay.clause_base and (a - lay.clause_base) % lay.clause_stride == 0:
-            if b >= lay.clause_base or b < lay.var_base:
-                continue  # dashed edge, not a gadget entry
-            j = (a - lay.clause_base) // lay.clause_stride + 1
-            off = (b - lay.var_base) % 4
-            variable = (b - lay.var_base) // 4
-            literals[j].append((variable, off == 0))
+    # the clause entries, where build_instance emits them, each followed by its exit;
+    # an entry into t^1 (gadget id 0) is a positive literal, into f^1 (id 2) a negative one
+    n, m = params.n, params.m
+    literal = {ids[k]: (v, k == 0) for v, ids in enumerate(_layout(params)[3]) for k in (0, 2)}
+    entries = [literal.get(b) for _, b in g.edges[4 * n : 4 * n + 6 * m : 2]]
+    if None in entries:
+        raise ParseError(f"{graph_path} does not match its manifest parameters")
     try:
-        formula = CnfFormula(params.n, tuple(tuple(literals[j]) for j in range(1, params.m + 1)))
+        formula = CnfFormula(n, tuple(tuple(entries[i : i + 3]) for i in range(0, 3 * m, 3)))
     except ValueError as exc:
         raise ParseError(f"instance files do not encode a valid formula: {exc}") from None
     rebuilt = build_instance(formula, k_override=params.K, m_override=params.M)

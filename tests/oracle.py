@@ -7,6 +7,7 @@ checked against, so they stay deliberately naive.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 
@@ -187,3 +188,20 @@ def timing_outcome(text: str, edge_count: int, kind: str = "auto") -> tuple:
         if t < 1:
             return "error", f"line {lineno}: time label of edge {i} must be >= 1, got {t}"
     return "times", values
+
+
+def random_sc_edges(n: int, extra_edges: int, seed: int = 0) -> tuple[tuple[int, int], ...]:
+    """The edges of `gen_random_sc(n, extra_edges, seed)`, by its first
+    algorithm: list every free ordered pair, then sample from the list."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cycle = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    taken = set(cycle)
+    candidates = [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and (u, v) not in taken
+    ]
+    return tuple(cycle + rng.sample(candidates, extra_edges))

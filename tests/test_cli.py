@@ -162,6 +162,24 @@ def test_scale_refusals_exit_two(four_cycle, tmp_path, monkeypatch, capsys):
         assert run_cli([*command, "--root", "1"], capsys)[0] == 0
 
 
+def test_reduce_and_certify_refuse_beyond_the_instance_limit(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(EXAMPLE_CNF)
+    reduce = ["reduce", "f.cnf", "--k", "2", "--m-param", "5", "--out", "inst"]
+    assert run_cli(reduce, capsys)[0] == 0
+    monkeypatch.setattr(reduction, "INSTANCE_SIZE_LIMIT", 110)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli([*reduce[:-1], "other"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: reduction infeasible at this scale: 39 nodes and 72 edges " \
+        "exceed the limit of 110\n"
+    assert sorted(tmp_path.iterdir()) == before
+    code, out, err = run_cli(["certify", "inst", "--assignment", "FTT"], capsys)
+    assert (code, out) == (2, "") and "reduction infeasible" in err
+
+
 @pytest.mark.parametrize("command, blocked", [
     (["gen", "fig3", "--k", "1", "--out", "w.digraph"], "w.digraph.roles"),
     (["reduce", "f.cnf", "--k", "2", "--m-param", "5", "--out", "inst"], "inst.manifest.json"),

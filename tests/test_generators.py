@@ -1,6 +1,10 @@
 """Windmill and random strongly connected generators."""
 
+import tracemalloc
+
 import pytest
+
+from oracle import random_sc_edges
 
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import is_strongly_connected
@@ -71,3 +75,26 @@ def test_random_sc_bounds():
     with pytest.raises(ValueError):
         gen_random_sc(4, -1)
     gen_random_sc(4, 8)
+
+
+def test_random_sc_matches_the_listing_sampler():
+    # every extra count up to all free slots, so both of random.sample's
+    # branches (pool copy and selected set) are taken
+    grid = [(n, extra) for n in range(2, 11) for extra in range(n * (n - 2) + 1)]
+    grid += [(40, extra) for extra in (0, 1, 39, 760, 1519, 1520)]
+    grid += [(300, extra) for extra in (0, 7, 900, 44_700)]
+    for n, extra in grid:
+        for seed in (0, 5):
+            assert gen_random_sc(n, extra, seed).edges == random_sc_edges(n, extra, seed)
+
+
+def test_random_sc_never_lists_the_free_pairs():
+    # listing them would hold 1500 * 1498 = 2,247,000 tuples (over 100 MiB)
+    tracemalloc.start()
+    try:
+        g = gen_random_sc(1500, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 1510
+    assert peak < 2**20

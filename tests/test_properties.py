@@ -265,6 +265,58 @@ def test_instance_files_round_trip(formula, K, M):
         assert certify(inst, schedule_from_assignment(inst, bits))["meets_L"]
 
 
+def role(name):
+    """("t", 2, 1) for "t_2^1", ("b", 3, 0) for "b_3", ("u1", 0, 0) for "u1"."""
+    kind, _, rest = name.partition("_")
+    index, _, copy = rest.partition("^")
+    return kind, int(index or 0), int(copy or 0)
+
+
+GADGET_CYCLE = {(("t", 1), ("f", 2)), (("f", 2), ("f", 1)), (("f", 1), ("t", 2)),
+                (("t", 2), ("t", 1))}
+
+
+def joins(phase, a, b, clauses):
+    """Whether an edge from role a to role b belongs to the phase, indices included."""
+    (ka, ia, la), (kb, ib, lb) = a, b
+
+    def literal_of(kind, i, j):  # gadget node of variable i enters or leaves clause j
+        return (i - 1, kind == "t") in clauses[j - 1]
+
+    return {
+        0: ka == "b" and kb == "u1",
+        1: ka == "u1" and kb == "u2",
+        2: ka == "u2" and kb == "d",
+        3: (ka, kb, lb) == ("d", "c", 1) and ia == ib,
+        4: (ka, la) == ("c", 1) and (
+            (kb, lb) == ("c", 2) and ib != ia
+            or kb in ("t", "f") and lb == 1 and literal_of(kb, ib, ia)),
+        5: ia == ib and ((ka, la), (kb, lb)) in GADGET_CYCLE,
+        6: ka in ("t", "f") and la == 2 and (kb, lb) == ("c", 2) and literal_of(ka, ia, ib),
+        7: (ka, la, kb) == ("c", 2, "e") and ia == ib,
+        8: ka == "e" and kb == "u3",
+        9: ka == "u3" and kb == "u4",
+        10: ka == "u4" and kb == "b",
+    }[phase]
+
+
+@check
+@given(strict_3cnfs(), st.integers(1, 3), st.integers(1, 4))
+def test_every_edge_joins_the_roles_its_phase_names(formula, K, M):
+    inst = build_instance(formula, k_override=K, m_override=M)
+    roles = [role(name) for name in inst.roles]
+    edges = inst.digraph.edges
+    phase_of = {i: phase for phase, runs in enumerate(inst.phases) for run in runs for i in run}
+    assert sorted(phase_of) == list(range(len(edges)))
+    for i, (a, b) in enumerate(edges):
+        assert joins(phase_of[i], roles[a], roles[b], formula.clauses), (i, roles[a], roles[b])
+    # each clause enters exactly its own three literals
+    for j, clause in enumerate(formula.clauses, start=1):
+        entered = sorted((roles[b][1] - 1, roles[b][0] == "t") for i, (a, b) in enumerate(edges)
+                         if phase_of[i] == 4 and roles[a] == ("c", j, 1) and roles[b][0] != "c")
+        assert entered == sorted(clause)
+
+
 @check
 @given(strongly_connected(max_nodes=8, max_edges=16), st.integers(0, 2**16))
 def test_greedy_sweep_matches_single_roots(g, seed):

@@ -13,7 +13,7 @@ from oracle import brute_force_satisfying_assignments
 
 from mret import reduction
 from mret.cnf import CnfFormula
-from mret.errors import ParseError
+from mret.errors import ParseError, ScaleLimitError
 from mret.graphs import (
     Digraph,
     Schedule,
@@ -174,6 +174,33 @@ def test_build_raises_when_the_edge_count_is_off(monkeypatch):
     monkeypatch.setattr(ReductionParams, "edge_count", property(lambda self: 0))
     with pytest.raises(RuntimeError, match="built 52 edges.*needs 0"):
         build_instance(EXAMPLE, k_override=1, m_override=1)
+
+
+def test_build_raises_when_the_node_count_is_off(monkeypatch):
+    monkeypatch.setattr(ReductionParams, "node_count", property(lambda self: 0))
+    with pytest.raises(RuntimeError, match="built 52 edges and 29 nodes.*needs 52 and 0"):
+        build_instance(EXAMPLE, k_override=1, m_override=1)
+
+
+def test_build_refuses_beyond_the_size_limit(monkeypatch, tmp_path):
+    # 39 nodes + 72 edges
+    write_instance(build_instance(EXAMPLE, k_override=2, m_override=5), tmp_path / "inst")
+    monkeypatch.setattr(reduction, "INSTANCE_SIZE_LIMIT", 110)
+    with pytest.raises(ScaleLimitError, match="39 nodes and 72 edges exceed the limit of 110"):
+        build_instance(EXAMPLE, k_override=2, m_override=5)
+    with pytest.raises(ScaleLimitError):
+        load_instance(tmp_path / "inst")
+    monkeypatch.setattr(reduction, "INSTANCE_SIZE_LIMIT", 111)
+    assert load_instance(tmp_path / "inst").digraph.node_count == 39
+
+
+def test_size_limit_refuses_official_sizes_and_admits_the_benchmark():
+    def size(p):
+        return p.node_count + p.edge_count
+
+    assert size(ReductionParams.official_for(3, 3)) == 24_378_906 + 48_757_806
+    assert size(ReductionParams.official_for(3, 3)) > reduction.INSTANCE_SIZE_LIMIT
+    assert size(ReductionParams(20, 60, 60, 12_000)) <= reduction.INSTANCE_SIZE_LIMIT
 
 
 def test_build_validation():
