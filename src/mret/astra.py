@@ -9,6 +9,13 @@ strong connectivity and building the shuffled attempt orders once per
 (graph, seed); `exact_pair` enumerates out-trees with pruning and is the
 small-scale ground truth; `best_root` sweeps all roots.
 
+A greedy attempt grows its first tree in the whole graph, so on a
+strongly connected graph that tree spans every node and the attempt's
+score is decided by its second tree alone.  The first tree takes one
+edge from the second tree's row of every non-root node, which bounds the
+second tree's span per root and build order (`_span_bounds`); the sweep
+skips every attempt whose bound cannot beat the incumbent.
+
 Self-loops can never sit on an arborescence; the searches here simply
 never pick them.
 """
@@ -16,7 +23,7 @@ never pick them.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import ScaleLimitError
@@ -24,8 +31,8 @@ from .graphs import Digraph, bfs_tree, is_strongly_connected
 
 GREEDY_RANDOM_ATTEMPTS = 6
 # Work of a greedy sweep, counted as roots * (nodes + edges): each root
-# grows 28 trees, measured at 10-13 us per node or edge per root at
-# n = 2,000-10,000, so the limit stands for about two minutes of sweep.
+# grows at most 28 trees, measured at 10-13 us per node or edge per root
+# at n = 2,000-10,000, so the limit stands for about two minutes of sweep.
 GREEDY_SWEEP_WORK_LIMIT = 10**7
 
 
@@ -116,10 +123,59 @@ def _pair(root: int, out_tree, in_tree) -> ArborescencePair:
     )
 
 
-def _greedy_best(root: int, orders) -> ArborescencePair:
+def _span_bounds(adj, back) -> Callable[[int], int]:
+    """Per root, the most nodes a second tree grown over `adj` can span.
+
+    `back` holds the rows of the reversed graph.  The first tree of the
+    attempt spans every node, so it has taken one edge of every non-root
+    node's `adj` row and none of the root's.  The second tree therefore
+    stays within the nodes reachable from the root when nodes with a
+    one-edge row do not expand (the `live` rows), and it has no more
+    edges than the rows of those nodes have left.  Self-loops and
+    parallel edges only loosen the bound.  When the row-longest node
+    reaches every node over `live`, so does every node that reaches it,
+    and a root that is or neighbours one of those takes, without a
+    search, the bound of the whole graph: min(n, m - n + 2).
+    """
+    n = len(adj)
+    lens = [len(row) for row in adj]
+    live = [row if k > 1 else () for row, k in zip(adj, lens)]
+    everywhere = [False] * n
+    hub = max(range(n), key=lens.__getitem__)
+    if len(bfs_tree(live, (hub,))[0]) == n:
+        live_back = [[e for e in row if lens[e[0]] > 1] for row in back]
+        for v in bfs_tree(live_back, (hub,))[0]:
+            everywhere[v] = True
+    spans_all = min(n, sum(lens) - n + 2)
+
+    def bound(root: int) -> int:
+        # the root expands whatever its row length
+        sources = dict.fromkeys([root, *(v for v, _ in adj[root])])
+        if any(everywhere[v] for v in sources):
+            return spans_all
+        reach = bfs_tree(live, sources)[0]
+        return min(len(reach), 1 + lens[root] + sum(lens[v] - 1 for v in reach[1:]))
+
+    return bound
+
+
+def _greedy_best(root: int, orders, bounds) -> ArborescencePair:
+    """The best of the greedy attempts at `root` over the attempt `orders`.
+
+    Each attempt grows one tree by BFS and the other in the residual
+    graph, in both build orders.  The graph must be strongly connected:
+    then the first tree spans all n nodes, an attempt's key (min, sum) is
+    decided by its second tree's span, and an attempt whose span bound
+    for its build order (`bounds`, out-tree second then in-tree second)
+    is at most the incumbent's min-size cannot beat it (ties keep the
+    first attempt found), so it is skipped.
+    """
+    builds = ((True, bounds[0](root)), (False, bounds[1](root)))
     best_key = (-1, -1)
     for fwd, rev in orders:
-        for in_first in (True, False):
+        for in_first, bound in builds:
+            if bound <= best_key[0]:
+                continue
             if in_first:
                 in_tree = bfs_tree(rev, (root,))
                 out_tree = bfs_tree(fwd, (root,), set(in_tree[1]))
@@ -136,10 +192,12 @@ def _greedy_best(root: int, orders) -> ArborescencePair:
 def greedy_pairs(g: Digraph, roots, seed: int = 0) -> Iterator[ArborescencePair]:
     """Yield `greedy_pair(g, r, seed)` for every r in `roots`, in order.
 
-    The roots are validated, connectivity is checked and the attempt
-    orders are built once for the whole sweep; per root only the trees
-    are grown.  A sweep whose work exceeds `GREEDY_SWEEP_WORK_LIMIT` is
-    refused with ScaleLimitError before any of it.
+    The roots are validated, connectivity is checked, and the attempt
+    orders and the span bounds' shared reach are built once for the
+    whole sweep; per root only the bounds are taken and the trees of the
+    attempts that can beat the best so far are grown.  A sweep whose work
+    exceeds `GREEDY_SWEEP_WORK_LIMIT` is refused with ScaleLimitError
+    before any of it.
     """
     work = len(roots) * (g.node_count + g.edge_count)
     if work > GREEDY_SWEEP_WORK_LIMIT:
@@ -153,8 +211,9 @@ def greedy_pairs(g: Digraph, roots, seed: int = 0) -> Iterator[ArborescencePair]
         _require_root(g, root)
     _require_pair_graph(g)
     orders = _attempt_orders(g, seed)
+    bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
     for root in roots:
-        yield _greedy_best(root, orders)
+        yield _greedy_best(root, orders, bounds)
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:

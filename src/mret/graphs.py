@@ -209,6 +209,19 @@ def parse_digraph(text: str) -> Digraph:
     return _parse_edge_table(text, timed=False)[0]
 
 
+def header_counts(text: str) -> tuple[int, int] | None:
+    """The (node count, edge count) on the first line of a digraph file,
+    read without splitting the edge lines; None unless that line holds
+    two integers, so that only `parse_digraph` judges a malformed file."""
+    end = text.find("\n")
+    parts = text[: end if end >= 0 else len(text)].split()
+    try:
+        n, m = map(int, parts)
+    except ValueError:  # not two fields, or a non-integer
+        return None
+    return n, m
+
+
 def format_digraph(g: Digraph) -> str:
     lines = [f"{g.node_count} {g.edge_count}"]
     lines.extend(f"{a} {b}" for a, b in g.edges)

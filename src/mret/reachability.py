@@ -61,17 +61,22 @@ class ReachabilityResult:
         return {v for v in range(self.node_count) if self.reach_from[v] >> u & 1}
 
 
-def initial_reach(node_count: int) -> list[int]:
-    """Every node's reach set before any edge fires: just the node itself.
-
-    Refuses with ScaleLimitError, before allocating, a node count whose
-    reach sets may outgrow `REACH_BITS_LIMIT`.
-    """
+def check_reach_budget(node_count: int) -> None:
+    """Refuse with ScaleLimitError a node count whose reach sets may
+    outgrow `REACH_BITS_LIMIT`."""
     if node_count * node_count > REACH_BITS_LIMIT:
         raise ScaleLimitError(
             f"evaluation infeasible at this scale: the reach sets of {node_count} nodes "
             f"take up to {node_count * node_count} bits, over the limit of {REACH_BITS_LIMIT}"
         )
+
+
+def initial_reach(node_count: int) -> list[int]:
+    """Every node's reach set before any edge fires: just the node itself.
+
+    Checks `check_reach_budget` before allocating.
+    """
+    check_reach_budget(node_count)
     return [1 << v for v in range(node_count)]
 
 

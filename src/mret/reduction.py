@@ -35,11 +35,12 @@ from .graphs import (
     Schedule,
     format_digraph,
     format_roles,
+    header_counts,
     parse_digraph,
     parse_roles,
     prefix_path,
 )
-from .reachability import total_reachability
+from .reachability import check_reach_budget, total_reachability
 
 # nodes + edges of the largest instance built: at the limit `reduce` takes
 # about 2.5 s and 0.6 GB, and certify's parse and rebuild about 1 GB
@@ -302,23 +303,33 @@ def write_instance(inst: ReductionInstance, prefix: str | Path, write=_write) ->
 def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     """Rebuild an instance from its files and verify their consistency.
 
-    `read(path)` gives the text of each file; the files are read in
-    `instance_paths` order.  The digraph's node and edge counts must
-    match the manifest's parameters before anything is rebuilt.  The
-    formula is then recovered from the clause-entry edges, the instance
-    is rebuilt from scratch, and the stored graph and roles must match
-    the rebuild exactly.
+    `read(path)` gives the text of each file; all three are read, in
+    `instance_paths` order, before the digraph is parsed.  An instance
+    too large to evaluate (`check_reach_budget` on the manifest's node
+    count) is refused with ScaleLimitError before the digraph is parsed,
+    unless the digraph's header line already contradicts the manifest.
+    The digraph's node and edge counts must match the manifest's
+    parameters before anything is rebuilt.  The formula is then
+    recovered from the clause-entry edges, the instance is rebuilt from
+    scratch, and the stored graph and roles must match the rebuild
+    exactly.
     """
     graph_path, roles_path, manifest_path = instance_paths(prefix)
-    g = parse_file(parse_digraph, read, graph_path)
-    # parsed after the rebuild (parsing first cost 1 MB peak RSS); str() only names decode errors
+    # str() only names decode errors; the roles are parsed after the
+    # rebuild (parsing them first cost 1 MB peak RSS)
+    graph_text = parse_file(str, read, graph_path)
     roles_text = parse_file(str, read, roles_path)
     try:
         manifest = json.loads(read(manifest_path))
         params = ReductionParams(*(int(manifest[k]) for k in ("n", "m", "K", "M")))
     except (KeyError, TypeError, ValueError) as exc:  # incl. json and decode errors
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
-    if (g.node_count, g.edge_count) != (params.node_count, params.edge_count):
+    counts = params.node_count, params.edge_count
+    if header_counts(graph_text) not in (None, counts):
+        raise ParseError(f"{graph_path} does not match its manifest parameters")
+    check_reach_budget(params.node_count)
+    g = parse_file(parse_digraph, lambda _: graph_text, graph_path)
+    if (g.node_count, g.edge_count) != counts:
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     # the clause entries, where build_instance emits them, each followed by its exit;
     # an entry into t^1 (gadget id 0) is a positive literal, into f^1 (id 2) a negative one

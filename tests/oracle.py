@@ -8,6 +8,7 @@ checked against, so they stay deliberately naive.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, permutations, product
 
 
@@ -144,6 +145,68 @@ def best_pair_by_labeling(node_count, edges, root) -> tuple[int, int, int]:
         cand = (min(len(out_nodes), len(in_nodes)), len(out_nodes), len(in_nodes))
         if (cand[0], cand[1] + cand[2]) > (best[0], best[1] + best[2]):
             best = cand
+    return best
+
+
+def _residual_bfs(rows, root, banned) -> tuple[list[int], dict[int, int]]:
+    """(tree edges, depth per reached node) of the breadth-first tree from
+    root over rows of (neighbour, edge index), never crossing a banned edge."""
+    depths = {root: 0}
+    tree_edges = []
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v, ei in rows[u]:
+            if v not in depths and ei not in banned:
+                depths[v] = depths[u] + 1
+                tree_edges.append(ei)
+                queue.append(v)
+    return tree_edges, depths
+
+
+def greedy_attempts(orders, root):
+    """Every greedy attempt at root, none skipped, in the order the
+    heuristic makes them: per (out rows, in rows) of `orders`, the in-tree
+    first and then the out-tree first, the second tree grown without the
+    first tree's edges.  Yields (in_first, out tree, in tree), each tree
+    as (edges, depths)."""
+    for fwd, rev in orders:
+        for in_first in (True, False):
+            if in_first:
+                in_tree = _residual_bfs(rev, root, set())
+                out_tree = _residual_bfs(fwd, root, set(in_tree[0]))
+            else:
+                out_tree = _residual_bfs(fwd, root, set())
+                in_tree = _residual_bfs(rev, root, set(out_tree[0]))
+            yield in_first, out_tree, in_tree
+
+
+def span_bound_reference(rows, root) -> int:
+    """min(|R|, 1 + len(rows[root]) + the sum of len(rows[v]) - 1 over
+    R minus root), where R holds the nodes reachable from root over rows
+    of (neighbour, edge index) when nodes other than root with a
+    one-entry row do not expand."""
+    reach, stack = {root}, [root]
+    while stack:
+        u = stack.pop()
+        if u == root or len(rows[u]) > 1:
+            for v, _ in rows[u]:
+                if v not in reach:
+                    reach.add(v)
+                    stack.append(v)
+    spare = len(rows[root]) + sum(len(rows[v]) - 1 for v in reach if v != root)
+    return min(len(reach), 1 + spare)
+
+
+def greedy_reference(orders, root):
+    """(out tree, in tree) of the first attempt of `greedy_attempts` with the
+    largest (min-size, total span)."""
+    best_key, best = (-1, -1), None
+    for _, out_tree, in_tree in greedy_attempts(orders, root):
+        out_size, in_size = len(out_tree[1]), len(in_tree[1])
+        key = (min(out_size, in_size), out_size + in_size)
+        if key > best_key:
+            best_key, best = key, (out_tree, in_tree)
     return best
 
 

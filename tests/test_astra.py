@@ -7,7 +7,7 @@ import pytest
 from oracle import best_pair_by_labeling
 
 from mret import astra
-from mret.astra import best_root, check_pair, exact_pair, greedy_pair
+from mret.astra import best_root, check_pair, exact_pair, greedy_pair, greedy_pairs
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import Digraph
@@ -301,6 +301,24 @@ def test_greedy_pair_golden():
     pair = greedy_pair(gen_random_sc(12, 30, seed=2), 3, seed=7)
     assert sorted(pair.out_edges) == [2, 3, 8, 21, 22, 23, 27, 30, 37, 39, 40]
     assert sorted(pair.in_edges) == [0, 1, 6, 10, 11, 12, 20, 24, 31, 33, 38]
+
+
+def test_windmill_sweep_grows_one_residual_tree_per_root(monkeypatch):
+    # the first attempt at every root meets the span bounds of both build
+    # orders, so the windmill sweep skips the other 13 attempts
+    residual_roots = []
+    bfs_tree = astra.bfs_tree
+
+    def counted(adj, sources, banned=frozenset()):
+        if banned:
+            residual_roots.extend(sources)
+        return bfs_tree(adj, sources, banned)
+
+    monkeypatch.setattr(astra, "bfs_tree", counted)
+    g = gen_fig3(20)[0]
+    for pair in greedy_pairs(g, range(g.node_count)):
+        check_pair(g, pair)
+    assert residual_roots == list(range(g.node_count))
 
 
 def test_greedy_sweep_work_bound(monkeypatch):

@@ -294,6 +294,23 @@ def test_certify_reads_what_reduce_wrote_at_a_directory_prefix(tmp_path, capsys)
     assert sorted(report["run"]["inputs"]) == sorted(written)
 
 
+def test_certify_refuses_an_instance_too_large_to_evaluate_before_parsing(
+    instance_prefix, monkeypatch, capsys
+):
+    parsed = []
+    monkeypatch.setattr(reduction, "parse_digraph", parsed.append)
+    # the instance has 39 nodes, whose reach sets take up to 1,521 bits
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39 - 1)
+    code, out, err = run_cli(["certify", instance_prefix, "--assignment", "FTT"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation infeasible at this scale: the reach sets of 39 nodes " \
+        "take up to 1521 bits, over the limit of 1520\n"
+    assert parsed == []
+    monkeypatch.undo()
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39)
+    assert run_json(["certify", instance_prefix, "--assignment", "FTT"], capsys)["result"]["meets_L"]
+
+
 def test_certify_records_the_paths_reduce_wrote(tmp_path, monkeypatch, capsys):
     # both commands name the instance files as reduction.instance_paths
     # does, so a "./" prefix is recorded as "inst.digraph", not "./inst.digraph"

@@ -19,14 +19,19 @@ from oracle import (
     best_pair_by_labeling,
     brute_force_satisfying_assignments,
     commutation_classes,
+    greedy_attempts,
+    greedy_reference,
     naive_reach_pairs,
     oracle_best,
+    span_bound_reference,
     timing_outcome,
 )
 
+from mret import astra
 from mret.astra import check_pair, exact_pair, greedy_pair, greedy_pairs
 from mret.cnf import CnfFormula
 from mret.errors import ParseError
+from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import (
     Digraph,
     Schedule,
@@ -325,6 +330,48 @@ def test_greedy_sweep_matches_single_roots(g, seed):
     assert swept == [greedy_pair(g, r, seed) for r in roots]
     for pair in swept:
         check_pair(g, pair)
+
+
+def check_greedy_sweep_against_reference(g, seed):
+    """The sweep keeps the unpruned reference's attempt at every root; the
+    span bounds equal the reference formula, and no attempt's second tree
+    spans more than its build order's bound."""
+    orders = astra._attempt_orders(g, seed)
+    out_bounds = astra._span_bounds(g.out_adj, g.in_adj)
+    in_bounds = astra._span_bounds(g.in_adj, g.out_adj)
+    for root, pair in enumerate(greedy_pairs(g, range(g.node_count), seed)):
+        (out_edges, out_depths), (in_edges, in_depths) = greedy_reference(orders, root)
+        assert (pair.out_edges, pair.out_nodes, pair.out_depths) == (
+            set(out_edges), set(out_depths), out_depths)
+        assert (pair.in_edges, pair.in_nodes, pair.in_depths) == (
+            set(in_edges), set(in_depths), in_depths)
+        out_bound, in_bound = out_bounds(root), in_bounds(root)
+        assert (out_bound, in_bound) == (
+            span_bound_reference(g.out_adj, root), span_bound_reference(g.in_adj, root))
+        for in_first, (_, out_depths), (_, in_depths) in greedy_attempts(orders, root):
+            if in_first:
+                assert len(in_depths) == g.node_count and len(out_depths) <= out_bound
+            else:
+                assert len(out_depths) == g.node_count and len(in_depths) <= in_bound
+
+
+@check
+@given(strongly_connected(max_nodes=8, max_edges=16), st.integers(0, 2**16))
+def test_greedy_sweep_matches_unpruned_reference(g, seed):
+    check_greedy_sweep_against_reference(g, seed)
+
+
+def test_greedy_sweep_matches_unpruned_reference_on_generated_graphs():
+    # every root of the windmills, whose bounds need a search per root, of
+    # random digraphs, where most roots reach every node, and of a digraph
+    # whose roots reach every node but whose 9 edges let no tree span all 6
+    graphs = [gen_fig3(k)[0] for k in range(1, 13)]
+    graphs += [gen_random_sc(40, extra, seed=1) for extra in (0, 10, 40, 120)]
+    graphs.append(Digraph(6, ((0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 0), (3, 0), (4, 2),
+                              (5, 1))))
+    for g in graphs:
+        for seed in range(3):
+            check_greedy_sweep_against_reference(g, seed)
 
 
 @settings(check, max_examples=30)

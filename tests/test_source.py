@@ -1,0 +1,18 @@
+"""Checks on the package's own source code."""
+
+import ast
+from pathlib import Path
+
+import mret
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so the package checks with raises
+    package = Path(mret.__file__).parent
+    asserts = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
