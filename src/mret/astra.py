@@ -7,7 +7,9 @@ include the root).  `greedy_pair` is a fast heuristic built on residual
 breadth-first searches; `greedy_pairs` runs it over many roots, checking
 strong connectivity and building the shuffled attempt orders once per
 (graph, seed); `exact_pair` enumerates out-trees with pruning and is the
-small-scale ground truth; `best_root` sweeps all roots.
+small-scale ground truth; `best_root` sweeps all roots.  A pair holds
+each tree once, as an edge set and a depth map, and `check_pair`
+verifies both edge by edge in linear time.
 
 A greedy attempt grows its first tree in the whole graph, so on a
 strongly connected graph that tree spans every node and the attempt's
@@ -40,24 +42,30 @@ GREEDY_SWEEP_WORK_LIMIT = 10**7
 class ArborescencePair:
     """A common-root, edge-disjoint out/in arborescence pair.
 
-    `out_edges` forms a tree oriented away from `root` covering exactly
-    `out_nodes`; `in_edges` a tree oriented toward `root` covering
-    exactly `in_nodes`.  The depth maps give every spanned node's tree
-    distance from the root; the arborescence solver orders its schedule
-    by them.
+    Each tree is stored once, as its edge set and its depth map: every
+    spanned node's tree distance from `root`, so the map's keys are the
+    spanned nodes.  `out_edges` forms a tree oriented away from `root`,
+    `in_edges` a tree oriented toward it.  The arborescence solver orders
+    its schedule by the depths.
     """
 
     root: int
     out_edges: frozenset[int]
     in_edges: frozenset[int]
-    out_nodes: frozenset[int]
-    in_nodes: frozenset[int]
     out_depths: dict[int, int]
     in_depths: dict[int, int]
 
     @property
+    def out_nodes(self) -> frozenset[int]:
+        return frozenset(self.out_depths)
+
+    @property
+    def in_nodes(self) -> frozenset[int]:
+        return frozenset(self.in_depths)
+
+    @property
     def min_size(self) -> int:
-        return min(len(self.out_nodes), len(self.in_nodes))
+        return min(len(self.out_depths), len(self.in_depths))
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ def _pair(root: int, out_tree, in_tree) -> ArborescencePair:
     """The pair of two `bfs_tree`-shaped (nodes, tree edges, depth) trees."""
     (out_nodes, out_edges, out_depth), (in_nodes, in_edges, in_depth) = out_tree, in_tree
     return ArborescencePair(
-        root, frozenset(out_edges), frozenset(in_edges), frozenset(out_nodes), frozenset(in_nodes),
+        root, frozenset(out_edges), frozenset(in_edges),
         {v: out_depth[v] for v in out_nodes}, {v: in_depth[v] for v in in_nodes},
     )
 
@@ -242,52 +250,42 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     if g.edge_count > limit:
         raise ScaleLimitError(
             f"exact pair search infeasible at this scale: "
-            f"{g.edge_count} edges exceeds limit {limit}"
+            f"{g.edge_count} edges exceed the limit of {limit}"
         )
-    edges = g.edges
-    fwd = g.out_adj
-    rev = g.in_adj
+    edges, fwd, rev = g.edges, g.out_adj, g.in_adj
 
     best = None  # (sizes, sorted edge lists, pair) of the incumbent
 
-    def consider(tree_edges: list[int], tree_nodes: set[int], depths: dict[int, int]):
+    def visit(tree_edges: list[int], depths: dict[int, int], banned: set[int]):
+        # `depths` maps every node of the out-tree to its depth
         nonlocal best
         in_tree = bfs_tree(rev, (root,), frozenset(tree_edges))
         in_size = len(in_tree[0])
-        sizes = (min(len(tree_nodes), in_size), len(tree_nodes) + in_size)
+        sizes = (min(len(depths), in_size), len(depths) + in_size)
         if best is None or sizes >= best[0]:
             edge_sets = (sorted(tree_edges), sorted(in_tree[1]))
             if best is None or sizes > best[0] or edge_sets < best[1]:
-                best = (sizes, edge_sets, _pair(root, (tree_nodes, tree_edges, depths), in_tree))
-        return in_size
-
-    def visit(tree_edges: list[int], tree_nodes: set[int], depths: dict[int, int], banned: set[int]):
-        in_size = consider(tree_edges, tree_nodes, depths)
-        out_reach = len(bfs_tree(fwd, tree_nodes, banned)[0])
+                best = (sizes, edge_sets, _pair(root, (depths, tree_edges, depths), in_tree))
+        out_reach = len(bfs_tree(fwd, depths, banned)[0])
         if min(out_reach, in_size) < best[0][0]:
             # every extension keeps out-span within the residual reach and
             # can only shrink the in-span, so none can tie the incumbent
             return
         frontier = sorted(
-            ei
-            for u in tree_nodes
-            for v, ei in fwd[u]
-            if v not in tree_nodes and ei not in banned
+            ei for u in depths for v, ei in fwd[u] if v not in depths and ei not in banned
         )
         child_banned = set(banned)
         for ei in frontier:
             a, b = edges[ei]
             tree_edges.append(ei)
-            tree_nodes.add(b)
             depths[b] = depths[a] + 1
-            visit(tree_edges, tree_nodes, depths, set(child_banned))
+            visit(tree_edges, depths, set(child_banned))
             tree_edges.pop()
-            tree_nodes.discard(b)
             del depths[b]
             # banning the edge for later siblings makes each tree appear once
             child_banned.add(ei)
 
-    visit([], {root}, {root: 0}, set())
+    visit([], {root: 0}, set())
     return best[2]
 
 
@@ -314,46 +312,36 @@ def best_root(
 
 
 def check_pair(g: Digraph, pair: ArborescencePair) -> None:
-    """Validate every pair invariant from scratch; raises ValueError.
+    """Validate every pair invariant from scratch in linear time; raises ValueError.
 
-    Independent of how the pair was built: re-derives tree-ness,
-    orientation, disjointness, spanned sets and depths from the edge
-    lists alone.
+    Independent of how the pair was built: each tree edge is checked
+    against the depth map alone.  A tree passes when the root has depth
+    0, every edge joins two spanned nodes, leads from depth d to depth
+    d + 1 and enters a non-root node no other edge enters, and there is
+    one edge fewer than nodes.  Then every non-root node has exactly one
+    parent, of smaller depth, so following parents reaches the root
+    without a cycle, and each stored depth is the tree distance.
     """
     if pair.out_edges & pair.in_edges:
         raise ValueError("out- and in-arborescence share an edge")
-    if pair.root not in pair.out_nodes or pair.root not in pair.in_nodes:
+    if pair.root not in pair.out_depths or pair.root not in pair.in_depths:
         raise ValueError("root not in both spanned node sets")
 
-    def check_tree(edge_ids, nodes, depths, toward_root: bool):
-        pairs = [g.edges[ei] for ei in edge_ids]
-        if toward_root:
-            pairs = [(b, a) for a, b in pairs]
-        # now every pair is (parent, child)
-        spanned = {pair.root}
-        parent = {}
-        for a, b in pairs:
-            spanned.add(a)
-            spanned.add(b)
-            if b in parent or b == pair.root:
+    def check_tree(edge_ids, depths, toward_root: bool):
+        if depths[pair.root] != 0:
+            raise ValueError(f"depth of node {pair.root} is wrong")
+        children = set()
+        for ei in edge_ids:
+            parent, child = g.edges[ei][::-1] if toward_root else g.edges[ei]
+            if child in children or child == pair.root:
                 raise ValueError("node has two tree parents or root has one")
-            parent[b] = a
-        if spanned != set(nodes):
-            raise ValueError("spanned node set does not match tree edges")
-        if len(edge_ids) != len(spanned) - 1:
+            children.add(child)
+            if parent not in depths or child not in depths:
+                raise ValueError("spanned node set does not match tree edges")
+            if depths[child] != depths[parent] + 1:
+                raise ValueError(f"depth of node {child} is wrong")
+        if len(edge_ids) != len(depths) - 1:
             raise ValueError("edge count is not node count minus one")
-        for v in spanned:
-            seen = set()
-            d = 0
-            u = v
-            while u != pair.root:
-                if u in seen or u not in parent:
-                    raise ValueError("tree edge set contains a cycle or a break")
-                seen.add(u)
-                u = parent[u]
-                d += 1
-            if depths.get(v) != d:
-                raise ValueError(f"depth of node {v} is wrong")
 
-    check_tree(pair.out_edges, pair.out_nodes, pair.out_depths, toward_root=False)
-    check_tree(pair.in_edges, pair.in_nodes, pair.in_depths, toward_root=True)
+    check_tree(pair.out_edges, pair.out_depths, toward_root=False)
+    check_tree(pair.in_edges, pair.in_depths, toward_root=True)

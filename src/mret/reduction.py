@@ -311,8 +311,8 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     The digraph's node and edge counts must match the manifest's
     parameters before anything is rebuilt.  The formula is then
     recovered from the clause-entry edges, the instance is rebuilt from
-    scratch, and the stored graph and roles must match the rebuild
-    exactly.
+    scratch, and the stored graph, roles and manifest must match the
+    rebuild exactly.
     """
     graph_path, roles_path, manifest_path = instance_paths(prefix)
     # str() only names decode errors; the roles are parsed after the
@@ -347,6 +347,6 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     if parse_file(parse_roles, lambda _: roles_text, roles_path) != rebuilt.roles:
         raise ParseError(f"{roles_path} does not match the rebuilt layout")
-    if str(rebuilt.bounds[0]) != str(manifest.get("L")):
-        raise ParseError(f"{manifest_path} L bound does not match parameters")
+    if manifest != instance_manifest(rebuilt):
+        raise ParseError(f"{manifest_path} does not match the rebuilt instance")
     return rebuilt

@@ -268,3 +268,34 @@ def random_sc_edges(n: int, extra_edges: int, seed: int = 0) -> tuple[tuple[int,
         if u != v and (u, v) not in taken
     ]
     return tuple(cycle + rng.sample(candidates, extra_edges))
+
+
+def check_pair_reference(edges, root, out_edges, in_edges, out_depths, in_depths) -> None:
+    """Raise ValueError unless the out-tree (edge indices into `edges`
+    and depth map) and the in-tree share no edge and are arborescences at
+    `root` spanning exactly their depth maps' keys, with every depth the
+    tree distance: by walking each node's parents back to the root."""
+    if set(out_edges) & set(in_edges):
+        raise ValueError("out- and in-arborescence share an edge")
+    if root not in out_depths or root not in in_depths:
+        raise ValueError("root not in both spanned node sets")
+    for edge_ids, depths, toward_root in ((out_edges, out_depths, False),
+                                          (in_edges, in_depths, True)):
+        spanned, parent = {root}, {}
+        for ei in edge_ids:
+            a, b = edges[ei][::-1] if toward_root else edges[ei]
+            spanned |= {a, b}
+            if b in parent or b == root:
+                raise ValueError("node has two tree parents or root has one")
+            parent[b] = a
+        if spanned != set(depths) or len(edge_ids) != len(spanned) - 1:
+            raise ValueError("tree edges do not span exactly the depth map's nodes")
+        for v in spanned:
+            seen, d, u = set(), 0, v
+            while u != root:
+                if u in seen or u not in parent:
+                    raise ValueError("tree edge set contains a cycle or a break")
+                seen.add(u)
+                u, d = parent[u], d + 1
+            if depths[v] != d:
+                raise ValueError(f"depth of node {v} is wrong")

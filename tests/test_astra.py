@@ -1,13 +1,21 @@
 """Arborescence-pair searches against the exhaustive labeling oracle."""
 
 import dataclasses
+import time
 
 import pytest
 
 from oracle import best_pair_by_labeling
 
 from mret import astra
-from mret.astra import best_root, check_pair, exact_pair, greedy_pair, greedy_pairs
+from mret.astra import (
+    ArborescencePair,
+    best_root,
+    check_pair,
+    exact_pair,
+    greedy_pair,
+    greedy_pairs,
+)
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import Digraph
@@ -173,7 +181,9 @@ def test_check_pair_catches_violations():
     with pytest.raises(ValueError, match="share"):
         check_pair(g, shared)
 
-    rootless = dataclasses.replace(pair, in_nodes=pair.in_nodes - {0})
+    rootless = dataclasses.replace(
+        pair, in_depths={v: d for v, d in pair.in_depths.items() if v != 0}
+    )
     with pytest.raises(ValueError, match="root"):
         check_pair(g, rootless)
 
@@ -187,11 +197,32 @@ def test_check_pair_catches_violations():
     bad = dataclasses.replace(
         exact_pair(two_parents, 0),
         out_edges=frozenset({0, 1}),
-        out_nodes=frozenset({0, 1, 2}),
         out_depths={0: 0, 1: 1, 2: 1},
     )
     with pytest.raises(ValueError):
         check_pair(two_parents, bad)
+
+
+def test_check_pair_refuses_an_edge_into_the_root():
+    # every depth is one more than its tree parent's and there is one edge
+    # fewer than nodes, but the out-tree's edge (2, 0) enters the root
+    g = Digraph(3, ((0, 1), (1, 0), (2, 0)))
+    pair = ArborescencePair(0, frozenset({0, 2}), frozenset({1}),
+                            {0: 0, 1: 1, 2: -1}, {0: 0, 1: 1})
+    with pytest.raises(ValueError, match="root has one"):
+        check_pair(g, pair)
+
+
+def test_check_pair_is_linear_on_a_long_cycle():
+    # the greedy pair of the directed 20,000-cycle: an in-path through every
+    # node and one out-edge; walking each node back to the root would take
+    # n^2 / 2 steps
+    g = gen_random_sc(20000, 0)
+    pair = greedy_pair(g, 0)
+    assert (len(pair.out_depths), len(pair.in_depths)) == (2, 20000)
+    started = time.perf_counter()
+    check_pair(g, pair)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_report_json():

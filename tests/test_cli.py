@@ -162,6 +162,13 @@ def test_scale_refusals_exit_two(four_cycle, tmp_path, monkeypatch, capsys):
         assert run_cli([*command, "--root", "1"], capsys)[0] == 0
 
 
+def test_exact_pair_refusal_names_the_limit(four_cycle, capsys):
+    code, out, err = run_cli(["astra", four_cycle, "--method", "exact", "--limit", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: exact pair search infeasible at this scale: 4 edges " \
+        "exceed the limit of 3\n"
+
+
 def test_reduce_and_certify_refuse_beyond_the_instance_limit(
     tmp_path, monkeypatch, capsys
 ):
@@ -321,6 +328,24 @@ def test_certify_records_the_paths_reduce_wrote(tmp_path, monkeypatch, capsys):
     assert written == ["inst.digraph", "inst.roles", "inst.manifest.json"]
     report = run_json(["certify", "./inst", "--assignment", "FTT"], capsys)
     assert list(report["run"]["inputs"]) == written
+
+
+@pytest.mark.parametrize("field", ["H_size", "node_count", "edge_count", "L", "U1", "U2"])
+def test_certify_refuses_a_manifest_with_a_wrong_derived_field(
+    field, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(EXAMPLE_CNF)
+    assert run_cli(["reduce", "f.cnf", "--k", "2", "--m-param", "5", "--out", "inst"],
+                   capsys)[0] == 0
+    path = Path("inst.manifest.json")
+    manifest = json.loads(path.read_text())
+    value = int(manifest[field]) + 1
+    manifest[field] = str(value) if isinstance(manifest[field], str) else value
+    path.write_text(json.dumps(manifest))
+    code, out, err = run_cli(["certify", "inst", "--assignment", "FTT"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: inst.manifest.json does not match the rebuilt instance\n"
 
 
 def test_certify_refuses_an_instance_smaller_than_its_manifest(

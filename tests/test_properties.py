@@ -9,6 +9,7 @@ Self-loops and parallel edges are allowed throughout, except where the
 solvers are compared, since they refuse self-loops.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from oracle import (
     best_pair_by_labeling,
     brute_force_satisfying_assignments,
+    check_pair_reference,
     commutation_classes,
     greedy_attempts,
     greedy_reference,
@@ -386,6 +388,69 @@ def test_exact_pair_matches_labeling_oracle(data):
         best_min,
         out_size + in_size,
     )
+
+
+def raises_value_error(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def corrupted_pairs(draw):
+    """(graph, the greedy or exact pair after up to three edits): an edge
+    of either tree dropped, added, replaced or grafted (an edge into a
+    spanned node added, its tail given one depth less if unspanned), or
+    a depth entry shifted, dropped or added."""
+    g = draw(strongly_connected())
+    root = draw(st.integers(0, g.node_count - 1))
+    pair = draw(st.sampled_from((greedy_pair, exact_pair)))(g, root)
+    trees = {
+        False: (set(pair.out_edges), dict(pair.out_depths)),
+        True: (set(pair.in_edges), dict(pair.in_depths)),
+    }
+    edge, node = st.integers(0, g.edge_count - 1), st.integers(0, g.node_count - 1)
+    depth = st.integers(-1, g.node_count)
+    for _ in range(draw(st.integers(0, 3))):
+        toward_root = draw(st.booleans())
+        edges, depths = trees[toward_root]
+        kind = draw(st.sampled_from(
+            ("drop", "add", "replace", "graft", "shift", "undepth", "depth")))
+        if kind in ("drop", "replace") and edges:
+            edges.discard(draw(st.sampled_from(sorted(edges))))
+        if kind in ("add", "replace") and g.edge_count:
+            edges.add(draw(edge))
+        if kind == "graft":
+            arcs = [(ei, *(e[::-1] if toward_root else e)) for ei, e in enumerate(g.edges)]
+            arcs = [arc for arc in arcs if arc[2] in depths]
+            if arcs:
+                ei, parent, child = draw(st.sampled_from(arcs))
+                edges.add(ei)
+                depths.setdefault(parent, depths[child] - 1)
+        if kind in ("shift", "undepth") and depths:
+            v = draw(st.sampled_from(sorted(depths)))
+            if kind == "shift":
+                depths[v] += draw(st.sampled_from((-2, -1, 1, 2)))
+            else:
+                del depths[v]
+        if kind == "depth":
+            depths[draw(node)] = draw(depth)
+    (out_edges, out_depths), (in_edges, in_depths) = trees[False], trees[True]
+    return g, dataclasses.replace(
+        pair, out_edges=frozenset(out_edges), in_edges=frozenset(in_edges),
+        out_depths=out_depths, in_depths=in_depths,
+    )
+
+
+@settings(check, max_examples=400)
+@given(corrupted_pairs())
+def test_check_pair_agrees_with_the_per_node_walk(case):
+    g, pair = case
+    assert raises_value_error(check_pair, g, pair) == raises_value_error(
+        check_pair_reference, g.edges, pair.root, pair.out_edges, pair.in_edges,
+        pair.out_depths, pair.in_depths)
 
 
 @check
