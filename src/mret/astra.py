@@ -240,13 +240,21 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     For a fixed out-tree the best in-arborescence in the residual graph
     spans exactly the nodes that still reach the root, so each out-tree
     is scored with one reverse BFS.  Out-trees are enumerated once each
-    (frontier edges taken in index order, earlier siblings banned), with
-    branches pruned when neither side can beat the incumbent min-size.
-    Ties break toward larger total span, then lexicographically smaller
-    edge sets.
+    (frontier edges taken in index order, earlier siblings banned).  A
+    branch is cut when the key (min, sum) of its bounds, the residual
+    forward reach for the out-span and the current in-span, is below
+    the incumbent's key.  A child reuses its parent's in-tree when the
+    edge it adds is not on that tree, and the first child its parent's
+    reach, which bans the same edges.  Ties break toward larger total
+    span, then lexicographically smaller edge sets.
     """
     _require_root(g, root)
     _require_pair_graph(g)
+    return _exact_best(g, root, limit)
+
+
+def _exact_best(g: Digraph, root: int, limit: int) -> ArborescencePair:
+    """`exact_pair` on a graph already checked to be strongly connected."""
     if g.edge_count > limit:
         raise ScaleLimitError(
             f"exact pair search infeasible at this scale: "
@@ -256,36 +264,40 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
 
     best = None  # (sizes, sorted edge lists, pair) of the incumbent
 
-    def visit(tree_edges: list[int], depths: dict[int, int], banned: set[int]):
-        # `depths` maps every node of the out-tree to its depth
+    def visit(tree_edges, depths, banned, in_tree, out_reach):
+        # `depths`: out-tree node -> depth; `in_tree`, `out_reach`: residual in-tree and reach
         nonlocal best
-        in_tree = bfs_tree(rev, (root,), frozenset(tree_edges))
         in_size = len(in_tree[0])
         sizes = (min(len(depths), in_size), len(depths) + in_size)
         if best is None or sizes >= best[0]:
             edge_sets = (sorted(tree_edges), sorted(in_tree[1]))
             if best is None or sizes > best[0] or edge_sets < best[1]:
                 best = (sizes, edge_sets, _pair(root, (depths, tree_edges, depths), in_tree))
-        out_reach = len(bfs_tree(fwd, depths, banned)[0])
-        if min(out_reach, in_size) < best[0][0]:
-            # every extension keeps out-span within the residual reach and
-            # can only shrink the in-span, so none can tie the incumbent
+        if (min(out_reach, in_size), out_reach + in_size) < best[0]:
+            # extensions span at most `out_reach` out and `in_size` in, so their
+            # keys stay below the incumbent's; an equal bound keeps the tie-break
             return
         frontier = sorted(
             ei for u in depths for v, ei in fwd[u] if v not in depths and ei not in banned
         )
         child_banned = set(banned)
-        for ei in frontier:
+        for i, ei in enumerate(frontier):
             a, b = edges[ei]
             tree_edges.append(ei)
             depths[b] = depths[a] + 1
-            visit(tree_edges, depths, set(child_banned))
+            # banning an edge off the in-tree leaves that BFS tree as it is;
+            # the first child bans what its parent does, and b is in its reach
+            child_in = (bfs_tree(rev, (root,), frozenset(tree_edges))
+                        if ei in in_tree[1] else in_tree)
+            reach = len(bfs_tree(fwd, depths, child_banned)[0]) if i else out_reach
+            visit(tree_edges, depths, child_banned, child_in, reach)
             tree_edges.pop()
             del depths[b]
             # banning the edge for later siblings makes each tree appear once
             child_banned.add(ei)
 
-    visit([], {root: 0}, set())
+    visit([], {root: 0}, set(), bfs_tree(rev, (root,)), len(bfs_tree(fwd, (root,))[0]))
+    del visit  # it refers to itself: free it and the search without the cyclic collector
     return best[2]
 
 
@@ -297,7 +309,7 @@ def best_root(
         raise ValueError(f"unknown method {method!r}")
     _require_pair_graph(g)
     if method == "exact":
-        pairs = (exact_pair(g, r, limit=limit) for r in range(g.node_count))
+        pairs = (_exact_best(g, r, limit) for r in range(g.node_count))
     else:
         pairs = greedy_pairs(g, range(g.node_count), seed=seed)
     per_root = [pair.min_size for pair in pairs]

@@ -15,6 +15,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -63,9 +64,11 @@ def _check_writable(path: Path) -> None:
     try:
         os.close(os.open(path, os.O_WRONLY))
     except FileNotFoundError:
-        # a missing file is created by the write, if its directory exists
+        # a missing file is created by the write, if its directory exists and is writable
         if not path.parent.is_dir():
             raise
+        if not os.access(path.parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path)) from None
 
 
 class _Run:

@@ -210,6 +210,35 @@ def greedy_reference(orders, root):
     return best
 
 
+def exact_pair_reference(edges, node_count, root):
+    """(sorted out edges, sorted in edges, out depths, in depths) of the
+    best pair at root, with no pruning.  Every edge subset that forms an
+    out-arborescence at root is tried, paired with the breadth-first
+    in-tree over the reverse rows (edge order) without its edges; the pair
+    with the largest (min-size, total span) wins, ties by the smallest
+    (sorted out edges, sorted in edges)."""
+    fwd = [[] for _ in range(node_count)]
+    rev = [[] for _ in range(node_count)]
+    for i, (a, b) in enumerate(edges):
+        fwd[a].append((b, i))
+        rev[b].append((a, i))
+    m = len(edges)
+    best_key, best = None, None
+    for r in range(m + 1):
+        for subset in combinations(range(m), r):
+            if _is_out_arborescence(root, [edges[i] for i in subset]) is None:
+                continue
+            # the BFS over the tree's own edges gives its depths
+            out_depths = _residual_bfs(fwd, root, set(range(m)).difference(subset))[1]
+            in_edges, in_depths = _residual_bfs(rev, root, set(subset))
+            sizes = (len(out_depths), len(in_depths))
+            key = (min(sizes), sum(sizes))
+            edge_lists = (list(subset), sorted(in_edges))
+            if best is None or key > best_key or (key == best_key and edge_lists < best[:2]):
+                best_key, best = key, (*edge_lists, out_depths, in_depths)
+    return best
+
+
 _TIMING_WORDS = {
     "auto": ("timing", "value", "values"),
     "schedule": ("schedule", "edge index", "edge indices"),

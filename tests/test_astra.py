@@ -352,6 +352,29 @@ def test_windmill_sweep_grows_one_residual_tree_per_root(monkeypatch):
     assert residual_roots == list(range(g.node_count))
 
 
+def test_exact_sweep_work_on_the_k10_windmill(monkeypatch):
+    # the (min, sum) prune and the reuse of the parent's in-tree and reach
+    # cut the BFS calls from 21,396 to 3,794; connectivity is checked once
+    calls = {"bfs": 0, "connected": 0}
+    bfs_tree, connected = astra.bfs_tree, astra.is_strongly_connected
+
+    def counted_bfs(adj, sources, banned=frozenset()):
+        calls["bfs"] += 1
+        return bfs_tree(adj, sources, banned)
+
+    def counted_connected(g):
+        calls["connected"] += 1
+        return connected(g)
+
+    monkeypatch.setattr(astra, "bfs_tree", counted_bfs)
+    monkeypatch.setattr(astra, "is_strongly_connected", counted_connected)
+    g = gen_fig3(10)[0]
+    rep = best_root(g, "exact", limit=g.edge_count)
+    assert calls["bfs"] <= 4500 and calls["connected"] == 1
+    ring = (11, 10, 9, 8, 7, 7, 8, 9, 10, 11)
+    assert rep.per_root == (16, 16) + (13,) * 6 + ring * 3
+
+
 def test_greedy_sweep_work_bound(monkeypatch):
     # the bound admits the benchmark's sweeps (random-sc n=200, m=800 and
     # the fig3 k=100 windmill) and refuses one at criterion 9's size

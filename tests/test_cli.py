@@ -207,6 +207,27 @@ def test_writes_are_all_or_nothing(command, blocked, tmp_path, monkeypatch, caps
     assert run_cli(command, capsys)[0] == 0 and Path(blocked).is_file()
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "fig3", "--k", "1", "--out", "locked/w.digraph"],
+    ["reduce", "f.cnf", "--k", "2", "--m-param", "5", "--out", "locked/inst"],
+    ["convert", "tg.txt", "--out", "locked/conv"],
+])
+def test_writes_into_an_unwritable_directory_write_nothing(
+    command, tmp_path, monkeypatch, capsys
+):
+    # root ignores the mode bits, so the directory's refusal is faked
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(EXAMPLE_CNF)
+    Path("tg.txt").write_text("3 3\n0 1 5\n1 2 9\n2 0 9\n")
+    Path("locked").mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: Path(p).name != "locked" and access(p, mode))
+    code, out, err = run_cli(command, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 13] Permission denied: 'locked/")
+    assert list(Path("locked").iterdir()) == []
+
+
 def test_reduce_writes_instance(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(EXAMPLE_CNF)

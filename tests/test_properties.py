@@ -4,7 +4,8 @@ instances and the arborescence-pair searches, by Hypothesis.
 Evaluated graphs stay small (n <= 5, m <= 7) so the subset-enumeration
 oracle remains cheap; the exact-search comparison stays at m <= 6 so the
 m! schedule oracle built on it does, and the arborescence-pair
-comparison at n <= 6, m <= 9 so the 3^m labeling oracle does.
+comparison at n <= 6, m <= 9 so the 3^m labeling oracle does (and at
+n <= 7, m <= 12 against the 2^m unpruned exact pair search).
 Self-loops and parallel edges are allowed throughout, except where the
 solvers are compared, since they refuse self-loops.
 """
@@ -21,6 +22,7 @@ from oracle import (
     brute_force_satisfying_assignments,
     check_pair_reference,
     commutation_classes,
+    exact_pair_reference,
     greedy_attempts,
     greedy_reference,
     naive_reach_pairs,
@@ -388,6 +390,17 @@ def test_exact_pair_matches_labeling_oracle(data):
         best_min,
         out_size + in_size,
     )
+
+
+@settings(check, max_examples=300)
+@given(st.data())
+def test_exact_pair_matches_the_unpruned_reference(data):
+    # the labeling oracle pins only (min, sum): this pins the tie-break too
+    g = data.draw(strongly_connected(max_nodes=7, max_edges=12))
+    root = data.draw(st.integers(0, g.node_count - 1))
+    pair = exact_pair(g, root)
+    assert (sorted(pair.out_edges), sorted(pair.in_edges), pair.out_depths,
+            pair.in_depths) == exact_pair_reference(g.edges, g.node_count, root)
 
 
 def raises_value_error(check, *args) -> bool:
