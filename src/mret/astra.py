@@ -3,13 +3,15 @@
 The objective throughout is max-min: find an out-arborescence and an
 in-arborescence that are rooted at the same node, share no edge, and
 maximize the smaller of the two spanned node counts (both counts
-include the root).  `greedy_pair` is a fast heuristic built on residual
-breadth-first searches; `greedy_pairs` runs it over many roots, checking
-strong connectivity and building the shuffled attempt orders once per
-(graph, seed); `exact_pair` enumerates out-trees with pruning and is the
-small-scale ground truth; `best_root` sweeps all roots.  A pair holds
-each tree once, as an edge set and a depth map, and `check_pair`
-verifies both edge by edge in linear time.
+include the root).  `sweep_pairs` is the one root sweep behind every
+search here: it checks the method, the scale limits, the roots and
+strong connectivity once, then yields the greedy pair (a fast heuristic
+built on residual breadth-first searches, its shuffled attempt orders
+built once per (graph, seed)) or the exact pair (out-trees enumerated
+with pruning, the small-scale ground truth) of each root in turn.
+`greedy_pair` and `exact_pair` sweep one root and `best_root` sweeps
+all.  A pair holds each tree once, as an edge set and a depth map, and
+`check_pair` verifies both edge by edge in linear time.
 
 A greedy attempt grows its first tree in the whole graph, so on a
 strongly connected graph that tree spans every node and the attempt's
@@ -36,6 +38,9 @@ GREEDY_RANDOM_ATTEMPTS = 6
 # grows at most 28 trees, measured at 10-13 us per node or edge per root
 # at n = 2,000-10,000, so the limit stands for about two minutes of sweep.
 GREEDY_SWEEP_WORK_LIMIT = 10**7
+# Nodes of the largest exact pair search: it recurses once per out-tree node,
+# and Python's default limit of 1,000 frames must leave room for the caller's
+EXACT_DEPTH_LIMIT = 900
 
 
 @dataclass(frozen=True)
@@ -86,18 +91,6 @@ class AstraReport:
             "ratio": self.ratio,
             "method": self.method,
         }
-
-
-def _require_root(g: Digraph, root: int) -> None:
-    if not 0 <= root < g.node_count:
-        raise ValueError(f"root {root} out of range for {g.node_count} nodes")
-
-
-def _require_pair_graph(g: Digraph) -> None:
-    if g.node_count == 0:
-        raise ValueError("digraph has no nodes")
-    if not is_strongly_connected(g):
-        raise ValueError("digraph is not strongly connected")
 
 
 def _attempt_orders(g: Digraph, seed: int) -> list[tuple]:
@@ -197,31 +190,46 @@ def _greedy_best(root: int, orders, bounds) -> ArborescencePair:
     return _pair(root, *best)
 
 
-def greedy_pairs(g: Digraph, roots, seed: int = 0) -> Iterator[ArborescencePair]:
-    """Yield `greedy_pair(g, r, seed)` for every r in `roots`, in order.
+def sweep_pairs(
+    g: Digraph, roots, method: str = "greedy", seed: int = 0, limit: int = 20
+) -> Iterator[ArborescencePair]:
+    """Yield the `method` pair of `g` at every root in `roots`, in order.
 
-    The roots are validated, connectivity is checked, and the attempt
-    orders and the span bounds' shared reach are built once for the
-    whole sweep; per root only the bounds are taken and the trees of the
-    attempts that can beat the best so far are grown.  A sweep whose work
-    exceeds `GREEDY_SWEEP_WORK_LIMIT` is refused with ScaleLimitError
-    before any of it.
+    Before the first pair, and once for the whole sweep, it checks the
+    method, the greedy work (roots * (nodes + edges)), every root, that
+    the graph has nodes and is strongly connected, and the exact edge
+    `limit` and depth limit; scale limits raise ScaleLimitError, the
+    rest ValueError.  The greedy attempt orders and the span bounds'
+    shared reach are built once; per root only the attempts that can
+    beat the best so far grow their trees.
     """
-    work = len(roots) * (g.node_count + g.edge_count)
-    if work > GREEDY_SWEEP_WORK_LIMIT:
-        raise ScaleLimitError(
-            f"greedy sweep infeasible at this scale: {len(roots)} roots over "
-            f"{g.node_count} nodes and {g.edge_count} edges take {work} units of work, "
-            f"over the limit of {GREEDY_SWEEP_WORK_LIMIT}"
-        )
+    if method not in ("exact", "greedy"):
+        raise ValueError(f"unknown method {method!r}")
     roots = list(roots)
+    work = len(roots) * (g.node_count + g.edge_count)
+    if method == "greedy" and work > GREEDY_SWEEP_WORK_LIMIT:
+        raise ScaleLimitError(f"greedy sweep infeasible at this scale: {len(roots)} roots over "
+                              f"{g.node_count} nodes and {g.edge_count} edges take {work} units "
+                              f"of work, over the limit of {GREEDY_SWEEP_WORK_LIMIT}")
     for root in roots:
-        _require_root(g, root)
-    _require_pair_graph(g)
-    orders = _attempt_orders(g, seed)
-    bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
-    for root in roots:
-        yield _greedy_best(root, orders, bounds)
+        if not 0 <= root < g.node_count:
+            raise ValueError(f"root {root} out of range for {g.node_count} nodes")
+    if g.node_count == 0:
+        raise ValueError("digraph has no nodes")
+    if not is_strongly_connected(g):
+        raise ValueError("digraph is not strongly connected")
+    if method == "greedy":
+        orders = _attempt_orders(g, seed)
+        bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
+        yield from (_greedy_best(root, orders, bounds) for root in roots)
+        return
+    if g.edge_count > limit:
+        raise ScaleLimitError(f"exact pair search infeasible at this scale: "
+                              f"{g.edge_count} edges exceed the limit of {limit}")
+    if g.node_count > EXACT_DEPTH_LIMIT:
+        raise ScaleLimitError(f"exact pair search infeasible at this scale: {g.node_count} "
+                              f"nodes exceed the depth limit of {EXACT_DEPTH_LIMIT}")
+    yield from (_exact_best(g, root) for root in roots)
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
@@ -231,7 +239,7 @@ def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
     keeps the attempt with the largest min-size (ties by larger total
     span, then first found).  Deterministic for a given seed.
     """
-    return next(greedy_pairs(g, (root,), seed))
+    return next(sweep_pairs(g, (root,), seed=seed))
 
 
 def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
@@ -248,18 +256,11 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     reach, which bans the same edges.  Ties break toward larger total
     span, then lexicographically smaller edge sets.
     """
-    _require_root(g, root)
-    _require_pair_graph(g)
-    return _exact_best(g, root, limit)
+    return next(sweep_pairs(g, (root,), "exact", limit=limit))
 
 
-def _exact_best(g: Digraph, root: int, limit: int) -> ArborescencePair:
-    """`exact_pair` on a graph already checked to be strongly connected."""
-    if g.edge_count > limit:
-        raise ScaleLimitError(
-            f"exact pair search infeasible at this scale: "
-            f"{g.edge_count} edges exceed the limit of {limit}"
-        )
+def _exact_best(g: Digraph, root: int) -> ArborescencePair:
+    """`exact_pair` on a graph already checked by `sweep_pairs`."""
     edges, fwd, rev = g.edges, g.out_adj, g.in_adj
 
     best = None  # (sizes, sorted edge lists, pair) of the incumbent
@@ -305,13 +306,7 @@ def best_root(
     g: Digraph, method: str = "exact", seed: int = 0, limit: int = 20
 ) -> AstraReport:
     """Run the chosen pair search from every root and report the argmax."""
-    if method not in ("exact", "greedy"):
-        raise ValueError(f"unknown method {method!r}")
-    _require_pair_graph(g)
-    if method == "exact":
-        pairs = (_exact_best(g, r, limit) for r in range(g.node_count))
-    else:
-        pairs = greedy_pairs(g, range(g.node_count), seed=seed)
+    pairs = sweep_pairs(g, range(g.node_count), method, seed, limit)
     per_root = [pair.min_size for pair in pairs]
     best = max(range(g.node_count), key=lambda r: (per_root[r], -r))
     return AstraReport(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -23,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from .astra import best_root, exact_pair, greedy_pair
+from .astra import best_root, sweep_pairs
 from .cnf import parse_assignment, parse_dimacs
 from .errors import ParseError, ScaleLimitError, parse_file
 from .generators import gen_fig3, gen_random_sc
@@ -209,12 +210,8 @@ def cmd_bounds(args, run: _Run) -> dict:
 def cmd_astra(args, run: _Run) -> dict:
     g = parse_file(parse_digraph, run.read, args.graph)
     if args.root is None:
-        report = best_root(g, args.method, seed=args.seed, limit=args.limit)
-        return report.to_json()
-    if args.method == "exact":
-        pair = exact_pair(g, args.root, limit=args.limit)
-    else:
-        pair = greedy_pair(g, args.root, seed=args.seed)
+        return best_root(g, args.method, seed=args.seed, limit=args.limit).to_json()
+    pair = next(sweep_pairs(g, (args.root,), args.method, seed=args.seed, limit=args.limit))
     return {
         "method": args.method,
         "root": pair.root,
@@ -272,6 +269,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first call, not at import, and kept for the process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mret", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -348,9 +346,8 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     args.raw_argv = argv

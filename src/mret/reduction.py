@@ -140,13 +140,18 @@ def check_bounds(p: ReductionParams) -> dict:
     }
 
 
+def check_instance_size(p: ReductionParams) -> None:
+    """Refuse with ScaleLimitError an instance over `INSTANCE_SIZE_LIMIT`."""
+    if p.node_count + p.edge_count > INSTANCE_SIZE_LIMIT:
+        raise ScaleLimitError(f"reduction infeasible at this scale: {p.node_count} nodes and "
+                              f"{p.edge_count} edges exceed the limit of {INSTANCE_SIZE_LIMIT}")
+
+
 def _layout(p: ReductionParams):
     """The roles in layout order, each node's id handed out as its role is
     named, and the ids grouped: the hubs u1..u4, the b ids, one (t^1, t^2,
     f^1, f^2) per variable and one (c^1, c^2, d ids, e ids) per clause."""
-    if p.node_count + p.edge_count > INSTANCE_SIZE_LIMIT:
-        raise ScaleLimitError(f"reduction infeasible at this scale: {p.node_count} nodes and "
-                              f"{p.edge_count} edges exceed the limit of {INSTANCE_SIZE_LIMIT}")
+    check_instance_size(p)
     roles: list[str] = []
 
     def name(names) -> range:
@@ -306,8 +311,9 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     `read(path)` gives the text of each file; all three are read, in
     `instance_paths` order, before the digraph is parsed.  An instance
     too large to evaluate (`check_reach_budget` on the manifest's node
-    count) is refused with ScaleLimitError before the digraph is parsed,
-    unless the digraph's header line already contradicts the manifest.
+    count) or to rebuild (`check_instance_size`) is refused with
+    ScaleLimitError before the digraph is parsed, unless the digraph's
+    header line already contradicts the manifest.
     The digraph's node and edge counts must match the manifest's
     parameters before anything is rebuilt.  The formula is then
     recovered from the clause-entry edges, the instance is rebuilt from
@@ -328,6 +334,7 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     if header_counts(graph_text) not in (None, counts):
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     check_reach_budget(params.node_count)
+    check_instance_size(params)
     g = parse_file(parse_digraph, lambda _: graph_text, graph_path)
     if (g.node_count, g.edge_count) != counts:
         raise ParseError(f"{graph_path} does not match its manifest parameters")

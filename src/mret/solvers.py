@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .astra import ArborescencePair, greedy_pairs
+from .astra import ArborescencePair, sweep_pairs
 from .errors import ScaleLimitError
 from .graphs import Digraph, Schedule
 from .reachability import _propagate, initial_reach
@@ -214,7 +214,7 @@ def solve_arborescence(
     roots = range(g.node_count) if root is None else [root]
     best: tuple[int, tuple[int, ...], ArborescencePair] | None = None
     explored = 0
-    for pair in greedy_pairs(g, roots, seed=seed):
+    for pair in sweep_pairs(g, roots, seed=seed):
         order = arborescence_order(g, pair)
         total = sum(map(int.bit_count, _propagate(g.node_count, g.edges, order)))
         explored += 1

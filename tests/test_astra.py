@@ -14,7 +14,7 @@ from mret.astra import (
     check_pair,
     exact_pair,
     greedy_pair,
-    greedy_pairs,
+    sweep_pairs,
 )
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
@@ -347,7 +347,7 @@ def test_windmill_sweep_grows_one_residual_tree_per_root(monkeypatch):
 
     monkeypatch.setattr(astra, "bfs_tree", counted)
     g = gen_fig3(20)[0]
-    for pair in greedy_pairs(g, range(g.node_count)):
+    for pair in sweep_pairs(g, range(g.node_count)):
         check_pair(g, pair)
     assert residual_roots == list(range(g.node_count))
 
@@ -373,6 +373,10 @@ def test_exact_sweep_work_on_the_k10_windmill(monkeypatch):
     assert calls["bfs"] <= 4500 and calls["connected"] == 1
     ring = (11, 10, 9, 8, 7, 7, 8, 9, 10, 11)
     assert rep.per_root == (16, 16) + (13,) * 6 + ring * 3
+    # the greedy sweep checks connectivity once too
+    calls["connected"] = 0
+    best_root(g, "greedy")
+    assert calls["connected"] == 1
 
 
 def test_greedy_sweep_work_bound(monkeypatch):

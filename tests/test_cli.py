@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import gc
 import json
 import os
 import subprocess
@@ -162,6 +163,34 @@ def test_scale_refusals_exit_two(four_cycle, tmp_path, monkeypatch, capsys):
         assert run_cli([*command, "--root", "1"], capsys)[0] == 0
 
 
+def test_greedy_sweep_refuses_by_scale_before_connectivity(tmp_path, monkeypatch, capsys):
+    # a 3-node path is not strongly connected, but its sweep of 3 roots over
+    # 3 nodes and 2 edges is refused by scale first, by both entry points
+    path = tmp_path / "path.digraph"
+    path.write_text("3 2\n0 1\n1 2\n")
+    monkeypatch.setattr(astra, "GREEDY_SWEEP_WORK_LIMIT", 14)
+    for command in (["astra", str(path), "--method", "greedy"],
+                    ["solve", str(path), "--method", "arb"]):
+        assert run_cli(command, capsys) == (2, "", "error: greedy sweep infeasible at this "
+                                            "scale: 3 roots over 3 nodes and 2 edges take 15 "
+                                            "units of work, over the limit of 14\n")
+
+
+def test_exact_pair_refuses_beyond_the_depth_limit(tmp_path, capsys):
+    # the search recurses once per out-tree node: a bidirected 900-node path
+    # goes 900 levels deep and still runs; a 3,000-cycle is refused up front
+    path = tmp_path / "path.digraph"
+    path.write_text("900 1798\n" + "".join(f"{i} {i + 1}\n{i + 1} {i}\n" for i in range(899)))
+    result = run_json(["astra", str(path), "--limit", "3000", "--root", "0"], capsys)["result"]
+    assert result["min_size"] == 900
+    cycle = tmp_path / "cyc3000.digraph"
+    cycle.write_text("3000 3000\n" + "".join(f"{i} {(i + 1) % 3000}\n" for i in range(3000)))
+    code, out, err = run_cli(["astra", str(cycle), "--limit", "3000", "--root", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: exact pair search infeasible at this scale: 3000 nodes exceed " \
+        "the depth limit of 900\n"
+
+
 def test_exact_pair_refusal_names_the_limit(four_cycle, capsys):
     code, out, err = run_cli(["astra", four_cycle, "--method", "exact", "--limit", "3"], capsys)
     assert (code, out) == (2, "")
@@ -183,8 +212,11 @@ def test_reduce_and_certify_refuse_beyond_the_instance_limit(
     assert err == "error: reduction infeasible at this scale: 39 nodes and 72 edges " \
         "exceed the limit of 110\n"
     assert sorted(tmp_path.iterdir()) == before
+    parsed = []
+    monkeypatch.setattr(reduction, "parse_digraph", parsed.append)
     code, out, err = run_cli(["certify", "inst", "--assignment", "FTT"], capsys)
     assert (code, out) == (2, "") and "reduction infeasible" in err
+    assert parsed == []
 
 
 @pytest.mark.parametrize("command, blocked", [
@@ -620,6 +652,20 @@ def test_threads_flag_rejected(two_cycle, tmp_path, capsys):
     assert code == 1 and out == "" and "error" in err
     code, _, err = run_cli(["--threads=4", "eval", two_cycle, str(sched)], capsys)
     assert code == 1 and "unrecognized arguments: --threads=4" in err
+
+
+def test_a_command_leaves_no_cyclic_garbage_once_the_parser_is_built(three_cycle, capsys):
+    # the parser is built once per process; rebuilding it on every call left
+    # 495 objects in reference cycles for the cyclic collector
+    command = ["solve", three_cycle, "--method", "arb"]
+    assert run_cli(command, capsys)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(command) == 0
+        assert gc.collect() <= 50
+    finally:
+        gc.enable()
 
 
 def test_usage_errors_exit_one(capsys):
