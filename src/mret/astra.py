@@ -10,8 +10,12 @@ built on residual breadth-first searches, its shuffled attempt orders
 built once per (graph, seed)) or the exact pair (out-trees enumerated
 with pruning, the small-scale ground truth) of each root in turn.
 `greedy_pair` and `exact_pair` sweep one root and `best_root` sweeps
-all.  A pair holds each tree once, as an edge set and a depth map, and
-`check_pair` verifies both edge by edge in linear time.
+all.  `sweep_blocks` makes the same checks and summarizes the pairs of
+contiguous blocks of roots; a large greedy sweep forks one child per
+further CPU, up to FORK_PROCESS_LIMIT processes in all, and each child
+sends back only its block's summary.  A pair holds each tree once, as
+an edge set and a depth map, and `check_pair` verifies both edge by
+edge in linear time.
 
 A greedy attempt grows its first tree in the whole graph, so on a
 strongly connected graph that tree spans every node and the attempt's
@@ -26,18 +30,34 @@ never pick them.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
-from collections.abc import Callable, Iterator
+import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import ScaleLimitError
 from .graphs import Digraph, bfs_tree, is_strongly_connected
 
 GREEDY_RANDOM_ATTEMPTS = 6
-# Work of a greedy sweep, counted as roots * (nodes + edges): each root
-# grows at most 28 trees, measured at 10-13 us per node or edge per root
-# at n = 2,000-10,000, so the limit stands for about two minutes of sweep.
+# Work of a greedy sweep, counted as roots * (nodes + edges).  One unit
+# cost 0.3-4.4 us at n = 2,000 and 10-12 us at n = 10,000 in one process,
+# and 0.3-3.6 and 5-6 us forked over 2 CPUs (a 2-CPU host, 40 roots each
+# of random-sc and fig3 graphs), so the limit stands for up to about two
+# minutes of sweep, or one when forked.
 GREEDY_SWEEP_WORK_LIMIT = 10**7
+# Work below which a greedy sweep stays in one process.  A fork, a pipe
+# and a reap cost a 20 MB process 1.7-2.1 ms and a 98 MB one 3.1 ms; at
+# the cheapest work measured, 0.14 us a unit on the fig3 windmills,
+# splitting a sweep this large in two saves up to 7 ms.  They cost a
+# 255 MB process 10.5 ms, so there a sweep near the threshold loses.
+FORK_WORK_THRESHOLD = 10**5
+# Most processes, the caller included, that share one greedy sweep: only
+# the caller and one child have been measured (on a 2-CPU host).
+FORK_PROCESS_LIMIT = 2
+# POSIX's number for SIGKILL; `import signal` would add about 1 ms to start-up
+_SIGKILL = 9
 # Nodes of the largest exact pair search: it recurses once per out-tree node,
 # and Python's default limit of 1,000 frames must leave room for the caller's
 EXACT_DEPTH_LIMIT = 900
@@ -190,22 +210,13 @@ def _greedy_best(root: int, orders, bounds) -> ArborescencePair:
     return _pair(root, *best)
 
 
-def sweep_pairs(
-    g: Digraph, roots, method: str = "greedy", seed: int = 0, limit: int = 20
-) -> Iterator[ArborescencePair]:
-    """Yield the `method` pair of `g` at every root in `roots`, in order.
-
-    Before the first pair, and once for the whole sweep, it checks the
-    method, the greedy work (roots * (nodes + edges)), every root, that
-    the graph has nodes and is strongly connected, and the exact edge
-    `limit` and depth limit; scale limits raise ScaleLimitError, the
-    rest ValueError.  The greedy attempt orders and the span bounds'
-    shared reach are built once; per root only the attempts that can
-    beat the best so far grow their trees.
-    """
+def _root_search(
+    g: Digraph, roots: list[int], method: str, seed: int, limit: int
+) -> Callable[[int], ArborescencePair]:
+    """The per-root pair search of a sweep over `roots`, after the checks
+    that `sweep_pairs` states, made once for the whole sweep."""
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
-    roots = list(roots)
     work = len(roots) * (g.node_count + g.edge_count)
     if method == "greedy" and work > GREEDY_SWEEP_WORK_LIMIT:
         raise ScaleLimitError(f"greedy sweep infeasible at this scale: {len(roots)} roots over "
@@ -221,15 +232,166 @@ def sweep_pairs(
     if method == "greedy":
         orders = _attempt_orders(g, seed)
         bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
-        yield from (_greedy_best(root, orders, bounds) for root in roots)
-        return
+        return lambda root: _greedy_best(root, orders, bounds)
     if g.edge_count > limit:
         raise ScaleLimitError(f"exact pair search infeasible at this scale: "
                               f"{g.edge_count} edges exceed the limit of {limit}")
     if g.node_count > EXACT_DEPTH_LIMIT:
         raise ScaleLimitError(f"exact pair search infeasible at this scale: {g.node_count} "
                               f"nodes exceed the depth limit of {EXACT_DEPTH_LIMIT}")
-    yield from (_exact_best(g, root) for root in roots)
+    return lambda root: _exact_best(g, root)
+
+
+def sweep_pairs(
+    g: Digraph, roots, method: str = "greedy", seed: int = 0, limit: int = 20
+) -> Iterator[ArborescencePair]:
+    """Yield the `method` pair of `g` at every root in `roots`, in order.
+
+    Before the first pair, and once for the whole sweep, it checks the
+    method, the greedy work (roots * (nodes + edges)), every root, that
+    the graph has nodes and is strongly connected, and the exact edge
+    `limit` and depth limit; scale limits raise ScaleLimitError, the
+    rest ValueError.  The greedy attempt orders and the span bounds'
+    shared reach are built once; per root only the attempts that can
+    beat the best so far grow their trees.  It runs in the calling
+    process; `sweep_blocks` is the sweep that forks.
+    """
+    roots = list(roots)
+    yield from map(_root_search(g, roots, method, seed, limit), roots)
+
+
+def sweep_blocks(
+    g: Digraph, roots, summarize: Callable[[Iterator[ArborescencePair]], object],
+    method: str = "greedy", seed: int = 0, limit: int = 20,
+) -> list:
+    """`summarize` of the pairs of each contiguous block of `roots`, in root order.
+
+    The checks of `sweep_pairs` run first, in the calling process and on
+    the whole root list.  A greedy sweep of at least FORK_WORK_THRESHOLD
+    units of work (roots * (nodes + edges)) is then split into one block
+    per CPU of `os.sched_getaffinity(0)`, at most FORK_PROCESS_LIMIT, and
+    every block but the first is swept in a forked child that sends back
+    only its summary, written with `marshal`, so `summarize` must return
+    ints, strings and tuples or lists of them.  It stays one block, in
+    the calling process, for an exact sweep, a single root, a single
+    CPU, a platform without `os.fork` or `os.sched_getaffinity`, or a
+    process that runs other threads.  The blocks partition the roots in
+    order and each summary depends only on its block's pairs, so the
+    result does not depend on how many processes ran.
+    """
+    roots = list(roots)
+    search = _root_search(g, roots, method, seed, limit)
+    k = 1
+    if method == "greedy" and len(roots) * (g.node_count + g.edge_count) >= FORK_WORK_THRESHOLD:
+        k = min(_fork_cpus(), FORK_PROCESS_LIMIT, len(roots))
+    blocks = [roots[i * len(roots) // k:(i + 1) * len(roots) // k] for i in range(k)]
+    return _fork_join(lambda block: summarize(map(search, block)), blocks)
+
+
+def _fork_cpus() -> int:
+    """The CPUs a sweep may fork over: 1 without `os.fork` or
+    `os.sched_getaffinity`, or when the process runs other threads,
+    which a forked child would not have."""
+    threading = sys.modules.get("threading")  # loaded by someone else, if at all
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading is not None and threading.active_count() > 1):
+        return 1
+    try:  # threads started outside `threading`, as Python 3.12's fork warning counts them
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:  # no /proc: the `threading` check stands alone
+        pass
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_join(run: Callable[[Iterable[int]], object], blocks: list[list[int]]) -> list:
+    """`[run(block) for block in blocks]`, each block after the first run
+    in a forked child that writes its marshalled result to a pipe.
+
+    The caller runs the first block (and any block whose fork failed)
+    while the children run theirs, then reads every pipe to its end and
+    reaps every child.  A child's pipe starts with a status byte: 0 and
+    the marshalled result, or 1 and the repr of its error, after which
+    the caller raises RuntimeError naming it; the exit status is only
+    checked when the caller can still see it (a caller that ignores
+    SIGCHLD or reaps with `waitpid(-1)` cannot).  When the caller itself
+    fails or is interrupted, it kills and reaps every child it has not
+    reaped before the error propagates; a child whose caller was killed
+    by a signal leaves before its next root.
+    """
+    results: list = [None] * len(blocks)
+    children: dict[int, tuple[int, int]] = {}  # block -> (pid, read end), until reaped
+    pipes = []  # every read end, closed on the way out
+    caller = os.getpid()
+    try:
+        for i in range(1, len(blocks)):
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the block runs here
+                os.close(write)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        summary = run(_orphan_guard(blocks[i], caller))
+                        payload, status = b"\0" + marshal.dumps(summary), 0
+                    except BaseException as exc:  # the child's boundary: report, then exit
+                        payload, status = b"\1" + repr(exc).encode(), 1
+                    view = memoryview(payload)
+                    while view:
+                        view = view[os.write(write, view):]
+                    code = status
+                finally:
+                    os._exit(code)  # never return into the caller's frames
+            os.close(write)
+            children[i] = pid, read
+        for i, block in enumerate(blocks):
+            if i not in children:
+                results[i] = run(block)
+        for i, (pid, read) in list(children.items()):
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            code = _reap(pid)
+            del children[i]
+            data = b"".join(chunks)
+            if data[:1] != b"\0" or code:
+                message = data[1:].decode(errors="replace") if data[:1] == b"\1" else "no message"
+                raise RuntimeError(
+                    f"greedy sweep of roots {blocks[i][0]}-{blocks[i][-1]} failed in a forked "
+                    f"process (exit status {'unknown' if code is None else code}): {message}")
+            results[i] = marshal.loads(memoryview(data)[1:])
+    finally:
+        for pid, _ in children.values():
+            try:  # each child on its own, so that one failure stops no other cleanup
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running, so still ours
+                    os.kill(pid, _SIGKILL)
+                    os.waitpid(pid, 0)
+            except OSError:  # reaped elsewhere meanwhile: its pid may name another process now
+                pass
+        for read in pipes:
+            os.close(read)
+    return results
+
+
+def _reap(pid: int) -> int | None:
+    """Wait for child `pid`; its exit code, or None if it was reaped elsewhere."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:  # SIGCHLD ignored, or another reaper came first
+        return None
+
+
+def _orphan_guard(roots: list[int], caller: int) -> Iterator[int]:
+    """`roots`, leaving the process at once when `caller` is no longer
+    its parent: a caller killed by a signal cannot kill its children."""
+    for root in roots:
+        if os.getppid() != caller:
+            os._exit(1)
+        yield root
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
@@ -305,9 +467,14 @@ def _exact_best(g: Digraph, root: int) -> ArborescencePair:
 def best_root(
     g: Digraph, method: str = "exact", seed: int = 0, limit: int = 20
 ) -> AstraReport:
-    """Run the chosen pair search from every root and report the argmax."""
-    pairs = sweep_pairs(g, range(g.node_count), method, seed, limit)
-    per_root = [pair.min_size for pair in pairs]
+    """Run the chosen pair search from every root and report the argmax.
+
+    A greedy sweep forks over the process's CPUs when `sweep_blocks`
+    says so; each child sends back only its roots' min-sizes, and the
+    report is the same however many processes ran.
+    """
+    blocks = sweep_blocks(g, range(g.node_count), _min_sizes, method, seed, limit)
+    per_root = [size for block in blocks for size in block]
     best = max(range(g.node_count), key=lambda r: (per_root[r], -r))
     return AstraReport(
         method=method,
@@ -316,6 +483,10 @@ def best_root(
         best_min=per_root[best],
         ratio=per_root[best] / g.node_count,
     )
+
+
+def _min_sizes(pairs: Iterator[ArborescencePair]) -> list[int]:
+    return [pair.min_size for pair in pairs]
 
 
 def check_pair(g: Digraph, pair: ArborescencePair) -> None:

@@ -22,9 +22,11 @@ allowing it would only pad schedules.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .astra import ArborescencePair, sweep_pairs
+from .astra import ArborescencePair, sweep_blocks
 from .errors import ScaleLimitError
 from .graphs import Digraph, Schedule
 from .reachability import _propagate, initial_reach
@@ -209,24 +211,32 @@ def solve_arborescence(
     the best evaluated total (ties to the smallest root).  The
     certificate (|in nodes|, |out nodes|) multiplies to a lower bound:
     the in-tree brings its nodes to the root before any out-edge fires.
+    An all-roots sweep forks over the process's CPUs when
+    `astra.sweep_blocks` says so; each block sends back only its best
+    (total, order, certificate), the first strictly larger total wins
+    across blocks as within one, and the result is the same however
+    many processes ran.
     """
     _reject_self_loops(g)
     roots = range(g.node_count) if root is None else [root]
-    best: tuple[int, tuple[int, ...], ArborescencePair] | None = None
-    explored = 0
-    for pair in sweep_pairs(g, roots, seed=seed):
-        order = arborescence_order(g, pair)
-        total = sum(map(int.bit_count, _propagate(g.node_count, g.edges, order)))
-        explored += 1
-        if best is None or total > best[0]:
-            best = (total, order, pair)
-    total, order, pair = best
-    certificate = (len(pair.in_nodes), len(pair.out_nodes))
+
+    def block_best(pairs: Iterator[ArborescencePair]):
+        best = None
+        for pair in pairs:
+            order = arborescence_order(g, pair)
+            total = sum(map(int.bit_count, _propagate(g.node_count, g.edges, order)))
+            if best is None or total > best[0]:
+                best = (total, order, (len(pair.in_depths), len(pair.out_depths)))
+        return best
+
+    # max keeps the first of equal totals, so the smallest root wins a tie
+    total, order, certificate = max(sweep_blocks(g, roots, block_best, seed=seed),
+                                    key=itemgetter(0))
     if total < certificate[0] * certificate[1]:
         raise RuntimeError(
             f"arborescence schedule total {total} is below its certificate "
             f"{certificate[0]} * {certificate[1]}"
         )
     return SolveResult(
-        "arborescence", Schedule(order), total, explored, certificate
+        "arborescence", Schedule(order), total, len(roots), certificate
     )

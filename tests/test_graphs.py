@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from mret.errors import ParseError
@@ -60,6 +62,19 @@ def test_digraph_roundtrip_canonical():
     text = format_digraph(g)
     assert text == "3 3\n0 1\n1 2\n2 0\n"
     assert parse_digraph(text) == g
+
+
+def test_bulk_parse_leaves_the_collector_as_it_found_it():
+    # the bulk parse pauses the cyclic collector while it builds edge tuples
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert parse_digraph("3 3\n0 1\n1 2\n2 0").edge_count == 3
+            assert parse_temporal_graph("2 2\n0 1 1\n1 0 2")[0].edge_count == 2
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_digraph_permits_self_loops_and_parallel_edges():
