@@ -459,8 +459,13 @@ def _exact_best(g: Digraph, root: int) -> ArborescencePair:
             # banning the edge for later siblings makes each tree appear once
             child_banned.add(ei)
 
-    visit([], {root: 0}, set(), bfs_tree(rev, (root,)), len(bfs_tree(fwd, (root,))[0]))
-    del visit  # it refers to itself: free it and the search without the cyclic collector
+    try:
+        visit([], {root: 0}, set(), bfs_tree(rev, (root,)), len(bfs_tree(fwd, (root,))[0]))
+    except RecursionError:  # a deep caller left fewer frames than EXACT_DEPTH_LIMIT assumes
+        raise ScaleLimitError(f"exact pair search infeasible at this scale: its {g.node_count} "
+                              f"nodes nest deeper than the recursion limit allows") from None
+    finally:
+        del visit  # it refers to itself: free it and the search without the cyclic collector
     return best[2]
 
 

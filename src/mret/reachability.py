@@ -80,13 +80,14 @@ def initial_reach(node_count: int) -> list[int]:
     return [1 << v for v in range(node_count)]
 
 
-def _propagate(node_count: int, edges, order, ends=None) -> list[int]:
+def _propagate(node_count: int, edges, order, ends=None, reach=None) -> list[int]:
     """Reach sets after firing `edges[ei]` for every `ei` of `order`.
 
     `ends` lists the exclusive end positions in `order` of the runs of
-    equal times; None means every edge has its own time.
+    equal times; None means every edge has its own time.  The pass
+    starts from `initial_reach`, or merges into the given `reach` list.
     """
-    reach = initial_reach(node_count)
+    reach = initial_reach(node_count) if reach is None else reach
     if ends is None:
         for ei in order:
             a, b = edges[ei]

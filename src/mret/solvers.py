@@ -11,9 +11,12 @@ Firing edge (a, b) merges the reach set of a into that of b, so two
 edges commute unless they chain (`dependent`).  Orders that differ only
 by swapping adjacent commuting edges form one commutation class (a
 Mazurkiewicz trace) and have equal totals.  `solve_exact` therefore
-evaluates each class once, at its lexicographically smallest order
-(the Anisimov-Knuth normal form), and `solve_local` never tries a swap
-of two commuting edges.
+searches each class once, at its lexicographically smallest order (the
+Anisimov-Knuth normal form), and `solve_local` never tries a swap of
+two commuting edges.  `solve_exact` also branches and bounds: a prefix
+whose completions cannot beat the best total so far is cut, its bound
+the total after firing the unused edges over and over until no reach
+set changes.
 
 Self-loops are rejected: a loop never extends a path to a new node, so
 allowing it would only pad schedules.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 
 from .astra import ArborescencePair, sweep_blocks
@@ -36,9 +40,10 @@ from .reachability import _propagate, initial_reach
 class SolveResult:
     """Best schedule found by one solver run.
 
-    `explored` counts evaluated schedules: commutation classes for the
-    exact method, the start orders plus the swaps of chaining edges for
-    local search, and the roots' orders for the arborescence method.
+    `explored` counts evaluated schedules: the commutation classes the
+    exact method reaches past its bound, the start orders plus the swaps
+    of chaining edges for local search, and the roots' orders for the
+    arborescence method.
     `certificate` is only set by the arborescence method: the in/out
     spanned node counts, whose product is a proven lower bound on
     `best_total`.
@@ -87,6 +92,18 @@ def _stays_normal(prefix: list[int], e: int, chains_e: list[bool]) -> bool:
     return True
 
 
+def _completion_bound(reach: list[int], edges, rest: list[int]) -> int:
+    """Upper bound on the total of every completion that fires the `rest`
+    edges once each: the total after firing them over and over, from a
+    copy of `reach`, until no set changes.  Firing only grows sets, so a
+    completion's sets stay inside that fixpoint."""
+    closure, bound, last = list(reach), -1, None
+    while bound != last:
+        last = bound
+        bound = sum(map(int.bit_count, _propagate(len(reach), edges, rest, reach=closure)))
+    return bound
+
+
 def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
     """Best schedule over all commutation classes; ties go to the
     lexicographically smallest order.
@@ -97,7 +114,10 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
     leaves are then exactly the normal forms, in lexicographic order,
     and the smallest maximizing order is the normal form of its class,
     so strict improvement keeps it.  Each step fires one edge into the
-    reach sets and undoes it on the way back.
+    reach sets and undoes it on the way back.  A prefix whose
+    `_completion_bound` is at most the best total is not extended: its
+    leaves come later and cannot improve, so the result is the unpruned
+    search's, and `explored` counts only the leaves reached.
     """
     _reject_self_loops(g)
     m = g.edge_count
@@ -132,6 +152,9 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
             unused[e] = False
             prefix.append(e)
             e = 0
+            if len(prefix) < m and _completion_bound(
+                    reach, edges, list(compress(range(m), unused))) <= best_total:
+                e = m  # no completion beats the incumbent: backtrack
         elif prefix:
             e = prefix.pop()
             unused[e] = True

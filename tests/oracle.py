@@ -81,6 +81,41 @@ def commutation_classes(g) -> int:
     return len(signatures)
 
 
+def exact_search_reference(g) -> tuple[int, tuple[int, ...], int]:
+    """(total, order, leaves) of the depth-first search over lexicographic
+    normal forms with no pruning.  A prefix grows by edge e only while no
+    edge larger than e sits in the run of edges at the prefix's end that
+    do not chain with e; every leaf is evaluated, in lexicographic order,
+    and only a strictly larger total replaces the best."""
+    m, edges = g.edge_count, g.edges
+    best = [-1, (), 0]
+
+    def normal(prefix, e):
+        for x in reversed(prefix):
+            if edges[x][1] == edges[e][0] or edges[e][1] == edges[x][0]:
+                return True
+            if x > e:
+                return False
+        return True
+
+    def visit(prefix, reach):
+        if len(prefix) == m:
+            best[2] += 1
+            total = sum(bin(r).count("1") for r in reach)
+            if total > best[0]:
+                best[:2] = total, tuple(prefix)
+            return
+        for e in range(m):
+            if e not in prefix and normal(prefix, e):
+                a, b = edges[e]
+                fired = list(reach)
+                fired[b] |= reach[a]
+                visit(prefix + [e], fired)
+
+    visit([], [1 << v for v in range(g.node_count)])
+    return tuple(best)
+
+
 def brute_force_satisfying_assignments(clauses, n: int) -> list[tuple[bool, ...]]:
     """All satisfying assignments of a CNF given as ((var, positive), ...)
     clauses over variables 0..n-1, by trying all 2**n assignments."""

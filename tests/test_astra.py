@@ -1,6 +1,7 @@
 """Arborescence-pair searches against the exhaustive labeling oracle."""
 
 import dataclasses
+import sys
 import time
 
 import pytest
@@ -159,6 +160,21 @@ def test_exact_limit():
     with pytest.raises(ScaleLimitError):
         exact_pair(g, 0)
     exact_pair(g, 0, limit=21)
+
+
+def test_exact_pair_refuses_a_search_deeper_than_the_recursion_limit():
+    # a bidirected path of EXACT_DEPTH_LIMIT nodes passes the depth check, and
+    # its out-tree from node 0 nests that deep: a caller that leaves fewer
+    # frames than that (about 110 deep at the default limit of 1,000) gets
+    # a refusal, not a RecursionError
+    n = astra.EXACT_DEPTH_LIMIT
+    g = Digraph(n, tuple(e for i in range(n - 1) for e in ((i, i + 1), (i + 1, i))))
+
+    def nested(depth):
+        return nested(depth - 1) if depth else exact_pair(g, 0, limit=g.edge_count)
+
+    with pytest.raises(ScaleLimitError, match="deeper than the recursion limit"):
+        nested(sys.getrecursionlimit() - n + 10)
 
 
 def test_rejects_bad_inputs():

@@ -123,7 +123,7 @@ def test_solve_exact_path(tmp_path, capsys):
 def test_solve_exact_four_cycle(four_cycle, capsys):
     report = run_json(["solve", four_cycle], capsys)
     assert report["result"]["total"] == 13
-    assert report["result"]["explored"] == 14
+    assert report["result"]["explored"] == 1
 
 
 def test_solve_local_and_arb(four_cycle, capsys):

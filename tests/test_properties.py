@@ -3,7 +3,9 @@ instances and the arborescence-pair searches, by Hypothesis.
 
 Evaluated graphs stay small (n <= 5, m <= 7) so the subset-enumeration
 oracle remains cheap; the exact-search comparison stays at m <= 6 so the
-m! schedule oracle built on it does, and the arborescence-pair
+m! schedule oracle built on it does (and at m <= 7 against the unpruned
+normal-form search, and the completion bound against every completion
+at m <= 6), and the arborescence-pair
 comparison at n <= 6, m <= 9 so the 3^m labeling oracle does (and at
 n <= 7, m <= 12 against the 2^m unpruned exact pair search).
 Self-loops and parallel edges are allowed throughout, except where the
@@ -12,6 +14,7 @@ solvers are compared, since they refuse self-loops.
 
 import dataclasses
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -23,9 +26,11 @@ from oracle import (
     check_pair_reference,
     commutation_classes,
     exact_pair_reference,
+    exact_search_reference,
     greedy_attempts,
     greedy_reference,
     naive_reach_pairs,
+    naive_total_for_schedule,
     oracle_best,
     span_bound_reference,
     timing_outcome,
@@ -53,6 +58,7 @@ from mret.graphs import (
     parse_timing,
 )
 from mret.reachability import (
+    _propagate,
     evaluate_schedule,
     evaluate_temporalisation,
     schedule_from_temporalisation,
@@ -65,7 +71,7 @@ from mret.reduction import (
     schedule_from_assignment,
     write_instance,
 )
-from mret.solvers import dependent, solve_exact, solve_local
+from mret.solvers import _completion_bound, dependent, solve_exact, solve_local
 
 # derandomized: the same examples on every run, so a failure reproduces
 check = settings(deadline=None, derandomize=True)
@@ -479,8 +485,30 @@ def test_local_never_beats_exact(g, seed):
 def test_exact_matches_the_permutation_oracle(g):
     res = solve_exact(g)
     assert (res.best_total, res.best_schedule.order) == oracle_best(g)
-    # one evaluation per class: none skipped, none repeated
-    assert res.explored == commutation_classes(g)
+    # the unpruned search evaluates one order per class: none skipped, none
+    # repeated; the bound only skips classes, and never the first
+    classes = commutation_classes(g)
+    assert exact_search_reference(g)[2] == classes
+    assert 1 <= res.explored <= classes
+
+
+@check
+@given(loop_free())
+def test_exact_matches_the_unpruned_reference(g):
+    res = solve_exact(g)
+    assert (res.best_total, res.best_schedule.order) == exact_search_reference(g)[:2]
+
+
+@check
+@given(st.data())
+def test_completion_bound_holds_for_every_completion(data):
+    g = data.draw(loop_free(max_edges=6))
+    order = data.draw(st.permutations(range(g.edge_count)))
+    k = data.draw(st.integers(0, g.edge_count))
+    prefix, rest = order[:k], order[k:]
+    bound = _completion_bound(_propagate(g.node_count, g.edges, prefix), g.edges, rest)
+    assert bound >= max(naive_total_for_schedule(g.node_count, g.edges, prefix + list(tail))
+                        for tail in permutations(rest))
 
 
 @check
