@@ -3,19 +3,15 @@
 The objective throughout is max-min: find an out-arborescence and an
 in-arborescence that are rooted at the same node, share no edge, and
 maximize the smaller of the two spanned node counts (both counts
-include the root).  `sweep_pairs` is the one root sweep behind every
-search here: it checks the method, the scale limits, the roots and
-strong connectivity once, then yields the greedy pair (a fast heuristic
-built on residual breadth-first searches, its shuffled attempt orders
-built once per (graph, seed)) or the exact pair (out-trees enumerated
-with pruning, the small-scale ground truth) of each root in turn.
-`greedy_pair` and `exact_pair` sweep one root and `best_root` sweeps
-all.  `sweep_blocks` makes the same checks and summarizes the pairs of
-contiguous blocks of roots; a large greedy sweep forks one child per
-further CPU, up to FORK_PROCESS_LIMIT processes in all, and each child
-sends back only its block's summary.  A pair holds each tree once, as
-an edge set and a depth map, and `check_pair` verifies both edge by
-edge in linear time.
+include the root).  `sweep_blocks` is the one root sweep: it checks
+the method, the scale limits, the roots and strong connectivity once,
+then summarizes the greedy pairs (a fast heuristic built on residual
+breadth-first searches) or the exact pairs (out-trees enumerated with
+pruning, the small-scale ground truth) of its roots; a large greedy
+sweep forks one child for the second half of the roots.  `greedy_pair`
+and `exact_pair` search one root and `best_root` sweeps all.  A pair
+holds each tree once, as an edge set and a depth map, and `check_pair`
+verifies both edge by edge in linear time.
 
 A greedy attempt grows its first tree in the whole graph, so on a
 strongly connected graph that tree spans every node and the attempt's
@@ -53,9 +49,6 @@ GREEDY_SWEEP_WORK_LIMIT = 10**7
 # splitting a sweep this large in two saves up to 7 ms.  They cost a
 # 255 MB process 10.5 ms, so there a sweep near the threshold loses.
 FORK_WORK_THRESHOLD = 10**5
-# Most processes, the caller included, that share one greedy sweep: only
-# the caller and one child have been measured (on a 2-CPU host).
-FORK_PROCESS_LIMIT = 2
 # POSIX's number for SIGKILL; `import signal` would add about 1 ms to start-up
 _SIGKILL = 9
 # Nodes of the largest exact pair search: it recurses once per out-tree node,
@@ -214,7 +207,8 @@ def _root_search(
     g: Digraph, roots: list[int], method: str, seed: int, limit: int
 ) -> Callable[[int], ArborescencePair]:
     """The per-root pair search of a sweep over `roots`, after the checks
-    that `sweep_pairs` states, made once for the whole sweep."""
+    that `sweep_blocks` states, made once for the whole sweep; the greedy
+    attempt orders and span bounds are built once too."""
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
     work = len(roots) * (g.node_count + g.edge_count)
@@ -242,147 +236,118 @@ def _root_search(
     return lambda root: _exact_best(g, root)
 
 
-def sweep_pairs(
-    g: Digraph, roots, method: str = "greedy", seed: int = 0, limit: int = 20
-) -> Iterator[ArborescencePair]:
-    """Yield the `method` pair of `g` at every root in `roots`, in order.
-
-    Before the first pair, and once for the whole sweep, it checks the
-    method, the greedy work (roots * (nodes + edges)), every root, that
-    the graph has nodes and is strongly connected, and the exact edge
-    `limit` and depth limit; scale limits raise ScaleLimitError, the
-    rest ValueError.  The greedy attempt orders and the span bounds'
-    shared reach are built once; per root only the attempts that can
-    beat the best so far grow their trees.  It runs in the calling
-    process; `sweep_blocks` is the sweep that forks.
-    """
-    roots = list(roots)
-    yield from map(_root_search(g, roots, method, seed, limit), roots)
-
-
 def sweep_blocks(
     g: Digraph, roots, summarize: Callable[[Iterator[ArborescencePair]], object],
     method: str = "greedy", seed: int = 0, limit: int = 20,
 ) -> list:
-    """`summarize` of the pairs of each contiguous block of `roots`, in root order.
+    """`summarize` of the `method` pairs of each contiguous block of `roots`, in root order.
 
-    The checks of `sweep_pairs` run first, in the calling process and on
-    the whole root list.  A greedy sweep of at least FORK_WORK_THRESHOLD
-    units of work (roots * (nodes + edges)) is then split into one block
-    per CPU of `os.sched_getaffinity(0)`, at most FORK_PROCESS_LIMIT, and
-    every block but the first is swept in a forked child that sends back
-    only its summary, written with `marshal`, so `summarize` must return
-    ints, strings and tuples or lists of them.  It stays one block, in
-    the calling process, for an exact sweep, a single root, a single
-    CPU, a platform without `os.fork` or `os.sched_getaffinity`, or a
-    process that runs other threads.  The blocks partition the roots in
-    order and each summary depends only on its block's pairs, so the
-    result does not depend on how many processes ran.
+    First, once for the whole sweep and in the calling process, it checks
+    the method, the greedy work (roots * (nodes + edges)), every root,
+    that the graph has nodes and is strongly connected, and the exact
+    edge `limit` and depth limit; scale limits raise ScaleLimitError, the
+    rest ValueError.  A greedy sweep of two or more roots and at least
+    FORK_WORK_THRESHOLD units of work is then split in halves when
+    `_may_fork` allows, and a forked child sweeps the second half and
+    sends back only its summary, written with `marshal`, so `summarize`
+    must return ints, strings and tuples or lists of them.  Otherwise the
+    roots are one block, swept in the calling process.  Each summary
+    depends only on its block's pairs, so merged in order the blocks give
+    the same result either way.
     """
     roots = list(roots)
     search = _root_search(g, roots, method, seed, limit)
-    k = 1
-    if method == "greedy" and len(roots) * (g.node_count + g.edge_count) >= FORK_WORK_THRESHOLD:
-        k = min(_fork_cpus(), FORK_PROCESS_LIMIT, len(roots))
-    blocks = [roots[i * len(roots) // k:(i + 1) * len(roots) // k] for i in range(k)]
-    return _fork_join(lambda block: summarize(map(search, block)), blocks)
+    if (method == "greedy" and len(roots) > 1
+            and len(roots) * (g.node_count + g.edge_count) >= FORK_WORK_THRESHOLD
+            and _may_fork()):
+        return _fork_join(lambda block: summarize(map(search, block)), roots)
+    return [summarize(map(search, roots))]
 
 
-def _fork_cpus() -> int:
-    """The CPUs a sweep may fork over: 1 without `os.fork` or
-    `os.sched_getaffinity`, or when the process runs other threads,
-    which a forked child would not have."""
+def _may_fork() -> bool:
+    """Whether a sweep may fork: the platform has `os.fork` and
+    `os.sched_getaffinity`, the affinity set holds two or more CPUs, and
+    the process runs no other thread, which a forked child would not have."""
     threading = sys.modules.get("threading")  # loaded by someone else, if at all
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading is not None and threading.active_count() > 1):
-        return 1
+        return False
     try:  # threads started outside `threading`, as Python 3.12's fork warning counts them
         if len(os.listdir("/proc/self/task")) > 1:
-            return 1
+            return False
     except OSError:  # no /proc: the `threading` check stands alone
         pass
-    return len(os.sched_getaffinity(0))
+    return len(os.sched_getaffinity(0)) > 1
 
 
-def _fork_join(run: Callable[[Iterable[int]], object], blocks: list[list[int]]) -> list:
-    """`[run(block) for block in blocks]`, each block after the first run
-    in a forked child that writes its marshalled result to a pipe.
+def _fork_join(run: Callable[[Iterable[int]], object], roots: list[int]) -> list:
+    """`[run(first half), run(second half)]` of `roots`, the second half
+    run in a forked child that writes its marshalled result to a pipe.
 
-    The caller runs the first block (and any block whose fork failed)
-    while the children run theirs, then reads every pipe to its end and
-    reaps every child.  A child's pipe starts with a status byte: 0 and
-    the marshalled result, or 1 and the repr of its error, after which
-    the caller raises RuntimeError naming it; the exit status is only
-    checked when the caller can still see it (a caller that ignores
+    The caller runs the first half (and the second too if the fork
+    failed) while the child runs its half, then reads the pipe to its
+    end and reaps the child.  The pipe starts with a status byte: 0 and
+    the marshalled result, or 1 and the repr of the child's error, after
+    which the caller raises RuntimeError naming it; the exit status is
+    only checked when the caller can still see it (a caller that ignores
     SIGCHLD or reaps with `waitpid(-1)` cannot).  When the caller itself
-    fails or is interrupted, it kills and reaps every child it has not
-    reaped before the error propagates; a child whose caller was killed
-    by a signal leaves before its next root.
+    fails or is interrupted, it kills and reaps the child before the
+    error propagates; a child whose caller was killed by a signal leaves
+    before its next root.
     """
-    results: list = [None] * len(blocks)
-    children: dict[int, tuple[int, int]] = {}  # block -> (pid, read end), until reaped
-    pipes = []  # every read end, closed on the way out
+    half = len(roots) // 2
+    first, second = roots[:half], roots[half:]
     caller = os.getpid()
+    read, write = os.pipe()
     try:
-        for i in range(1, len(blocks)):
-            read, write = os.pipe()
-            pipes.append(read)
+        pid = os.fork()
+    except OSError:  # no process to spare: both halves run here
+        os.close(read)
+        os.close(write)
+        return [run(first), run(second)]
+    if pid == 0:
+        code = 1
+        try:
             try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the block runs here
-                os.close(write)
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    try:
-                        summary = run(_orphan_guard(blocks[i], caller))
-                        payload, status = b"\0" + marshal.dumps(summary), 0
-                    except BaseException as exc:  # the child's boundary: report, then exit
-                        payload, status = b"\1" + repr(exc).encode(), 1
-                    view = memoryview(payload)
-                    while view:
-                        view = view[os.write(write, view):]
-                    code = status
-                finally:
-                    os._exit(code)  # never return into the caller's frames
-            os.close(write)
-            children[i] = pid, read
-        for i, block in enumerate(blocks):
-            if i not in children:
-                results[i] = run(block)
-        for i, (pid, read) in list(children.items()):
-            chunks = []
-            while chunk := os.read(read, 1 << 16):
-                chunks.append(chunk)
-            code = _reap(pid)
-            del children[i]
-            data = b"".join(chunks)
-            if data[:1] != b"\0" or code:
-                message = data[1:].decode(errors="replace") if data[:1] == b"\1" else "no message"
-                raise RuntimeError(
-                    f"greedy sweep of roots {blocks[i][0]}-{blocks[i][-1]} failed in a forked "
-                    f"process (exit status {'unknown' if code is None else code}): {message}")
-            results[i] = marshal.loads(memoryview(data)[1:])
+                summary = run(_orphan_guard(second, caller))
+                payload, status = b"\0" + marshal.dumps(summary), 0
+            except BaseException as exc:  # the child's boundary: report, then exit
+                payload, status = b"\1" + repr(exc).encode(), 1
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(write, view):]
+            code = status
+        finally:
+            os._exit(code)  # never return into the caller's frames
+    os.close(write)
+    reaped = False
+    try:
+        results = [run(first)]
+        chunks = []
+        while chunk := os.read(read, 1 << 16):
+            chunks.append(chunk)
+        try:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except ChildProcessError:  # SIGCHLD ignored, or another reaper came first
+            code = None
+        reaped = True
+        data = b"".join(chunks)
+        if data[:1] != b"\0" or code:
+            message = data[1:].decode(errors="replace") if data[:1] == b"\1" else "no message"
+            raise RuntimeError(
+                f"greedy sweep of roots {second[0]}-{second[-1]} failed in a forked "
+                f"process (exit status {'unknown' if code is None else code}): {message}")
+        results.append(marshal.loads(memoryview(data)[1:]))
     finally:
-        for pid, _ in children.values():
-            try:  # each child on its own, so that one failure stops no other cleanup
+        if not reaped:
+            try:
                 if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running, so still ours
                     os.kill(pid, _SIGKILL)
                     os.waitpid(pid, 0)
             except OSError:  # reaped elsewhere meanwhile: its pid may name another process now
                 pass
-        for read in pipes:
-            os.close(read)
+        os.close(read)
     return results
-
-
-def _reap(pid: int) -> int | None:
-    """Wait for child `pid`; its exit code, or None if it was reaped elsewhere."""
-    try:
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except ChildProcessError:  # SIGCHLD ignored, or another reaper came first
-        return None
 
 
 def _orphan_guard(roots: list[int], caller: int) -> Iterator[int]:
@@ -401,7 +366,7 @@ def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
     keeps the attempt with the largest min-size (ties by larger total
     span, then first found).  Deterministic for a given seed.
     """
-    return next(sweep_pairs(g, (root,), seed=seed))
+    return _root_search(g, [root], "greedy", seed, 0)(root)
 
 
 def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
@@ -418,11 +383,11 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     reach, which bans the same edges.  Ties break toward larger total
     span, then lexicographically smaller edge sets.
     """
-    return next(sweep_pairs(g, (root,), "exact", limit=limit))
+    return _root_search(g, [root], "exact", 0, limit)(root)
 
 
 def _exact_best(g: Digraph, root: int) -> ArborescencePair:
-    """`exact_pair` on a graph already checked by `sweep_pairs`."""
+    """`exact_pair` on a graph already checked by `_root_search`."""
     edges, fwd, rev = g.edges, g.out_adj, g.in_adj
 
     best = None  # (sizes, sorted edge lists, pair) of the incumbent
@@ -474,9 +439,9 @@ def best_root(
 ) -> AstraReport:
     """Run the chosen pair search from every root and report the argmax.
 
-    A greedy sweep forks over the process's CPUs when `sweep_blocks`
-    says so; each child sends back only its roots' min-sizes, and the
-    report is the same however many processes ran.
+    A greedy sweep forks one child when `sweep_blocks` says so; the
+    child sends back only its roots' min-sizes, and the report is the
+    same whether it forked or not.
     """
     blocks = sweep_blocks(g, range(g.node_count), _min_sizes, method, seed, limit)
     per_root = [size for block in blocks for size in block]

@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from .astra import best_root, sweep_pairs
+from .astra import best_root, exact_pair, greedy_pair
 from .cnf import parse_assignment, parse_dimacs
 from .errors import ParseError, ScaleLimitError, parse_file
 from .generators import gen_fig3, gen_random_sc
@@ -211,7 +211,8 @@ def cmd_astra(args, run: _Run) -> dict:
     g = parse_file(parse_digraph, run.read, args.graph)
     if args.root is None:
         return best_root(g, args.method, seed=args.seed, limit=args.limit).to_json()
-    pair = next(sweep_pairs(g, (args.root,), args.method, seed=args.seed, limit=args.limit))
+    pair = (greedy_pair(g, args.root, args.seed) if args.method == "greedy"
+            else exact_pair(g, args.root, args.limit))
     return {
         "method": args.method,
         "root": pair.root,

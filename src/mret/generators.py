@@ -4,13 +4,15 @@
 nodes an edge-disjoint common-root arborescence pair can span, and
 `gen_random_sc` builds random strongly connected digraphs for sweeps.
 Both are deterministic; the windmill also returns a role name per node.
+Both refuse with ScaleLimitError, before they build anything, a graph of
+more than `graphs.INSTANCE_SIZE_LIMIT` nodes + edges.
 """
 
 from __future__ import annotations
 
 import random
 
-from .graphs import Digraph
+from .graphs import Digraph, check_instance_size
 
 
 def gen_fig3(k: int) -> tuple[Digraph, tuple[str, ...]]:
@@ -23,6 +25,7 @@ def gen_fig3(k: int) -> tuple[Digraph, tuple[str, ...]]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    check_instance_size("fig3 generation", 3 * k + 8, 3 * k + 13)
     x, y = 0, 1
 
     def xi(i: int) -> int:
@@ -66,6 +69,7 @@ def gen_random_sc(n: int, extra_edges: int, seed: int = 0) -> Digraph:
     slots = n * (n - 1) - n
     if not 0 <= extra_edges <= slots:
         raise ValueError(f"extra_edges must be in [0, {slots}] for n={n}")
+    check_instance_size("random-sc generation", n, n + extra_edges)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)

@@ -29,7 +29,11 @@ from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ScaleLimitError
+
+# nodes + edges of the largest instance built or generated: at the limit
+# `reduce` takes about 2.5 s and 0.6 GB, and certify's parse and rebuild about 1 GB
+INSTANCE_SIZE_LIMIT = 4 * 10**6
 
 
 def _exact(values, kind) -> bool:
@@ -126,6 +130,13 @@ class Schedule:
         if order and (min(order) != 0 or max(order) != len(order) - 1
                       or len(set(order)) != len(order)):
             raise ValueError("order is not a permutation of 0..m-1")
+
+
+def check_instance_size(what: str, nodes: int, edges: int) -> None:
+    """Refuse with ScaleLimitError a `what` of more than `INSTANCE_SIZE_LIMIT` nodes + edges."""
+    if nodes + edges > INSTANCE_SIZE_LIMIT:
+        raise ScaleLimitError(f"{what} infeasible at this scale: {nodes} nodes and "
+                              f"{edges} edges exceed the limit of {INSTANCE_SIZE_LIMIT}")
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:

@@ -29,10 +29,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .cnf import CnfFormula
-from .errors import ParseError, ScaleLimitError, parse_file
+from .errors import ParseError, parse_file
 from .graphs import (
     Digraph,
     Schedule,
+    check_instance_size,
     format_digraph,
     format_roles,
     header_counts,
@@ -41,10 +42,6 @@ from .graphs import (
     prefix_path,
 )
 from .reachability import check_reach_budget, total_reachability
-
-# nodes + edges of the largest instance built: at the limit `reduce` takes
-# about 2.5 s and 0.6 GB, and certify's parse and rebuild about 1 GB
-INSTANCE_SIZE_LIMIT = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -140,18 +137,11 @@ def check_bounds(p: ReductionParams) -> dict:
     }
 
 
-def check_instance_size(p: ReductionParams) -> None:
-    """Refuse with ScaleLimitError an instance over `INSTANCE_SIZE_LIMIT`."""
-    if p.node_count + p.edge_count > INSTANCE_SIZE_LIMIT:
-        raise ScaleLimitError(f"reduction infeasible at this scale: {p.node_count} nodes and "
-                              f"{p.edge_count} edges exceed the limit of {INSTANCE_SIZE_LIMIT}")
-
-
 def _layout(p: ReductionParams):
     """The roles in layout order, each node's id handed out as its role is
     named, and the ids grouped: the hubs u1..u4, the b ids, one (t^1, t^2,
     f^1, f^2) per variable and one (c^1, c^2, d ids, e ids) per clause."""
-    check_instance_size(p)
+    check_instance_size("reduction", p.node_count, p.edge_count)
     roles: list[str] = []
 
     def name(names) -> range:
@@ -334,7 +324,7 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     if header_counts(graph_text) not in (None, counts):
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     check_reach_budget(params.node_count)
-    check_instance_size(params)
+    check_instance_size("reduction", *counts)
     g = parse_file(parse_digraph, lambda _: graph_text, graph_path)
     if (g.node_count, g.edge_count) != counts:
         raise ParseError(f"{graph_path} does not match its manifest parameters")

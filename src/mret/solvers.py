@@ -234,11 +234,10 @@ def solve_arborescence(
     the best evaluated total (ties to the smallest root).  The
     certificate (|in nodes|, |out nodes|) multiplies to a lower bound:
     the in-tree brings its nodes to the root before any out-edge fires.
-    An all-roots sweep forks over the process's CPUs when
-    `astra.sweep_blocks` says so; each block sends back only its best
-    (total, order, certificate), the first strictly larger total wins
-    across blocks as within one, and the result is the same however
-    many processes ran.
+    An all-roots sweep forks one child when `astra.sweep_blocks` says
+    so; each block sends back only its best (total, order, certificate),
+    the first strictly larger total wins across blocks as within one,
+    and the result is the same whether the sweep forked or not.
     """
     _reject_self_loops(g)
     roots = range(g.node_count) if root is None else [root]

@@ -15,7 +15,7 @@ from mret.astra import (
     check_pair,
     exact_pair,
     greedy_pair,
-    sweep_pairs,
+    sweep_blocks,
 )
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
@@ -363,7 +363,7 @@ def test_windmill_sweep_grows_one_residual_tree_per_root(monkeypatch):
 
     monkeypatch.setattr(astra, "bfs_tree", counted)
     g = gen_fig3(20)[0]
-    for pair in sweep_pairs(g, range(g.node_count)):
+    for pair in sweep_blocks(g, range(g.node_count), list)[0]:
         check_pair(g, pair)
     assert residual_roots == list(range(g.node_count))
 

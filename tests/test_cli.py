@@ -12,7 +12,7 @@ import pytest
 from instances import oversized_instance_texts, refuse_to_build
 
 import mret
-from mret import astra, reachability, reduction
+from mret import astra, graphs, reachability, reduction
 from mret.cli import main
 from mret.reduction import instance_paths
 
@@ -205,7 +205,7 @@ def test_reduce_and_certify_refuse_beyond_the_instance_limit(
     Path("f.cnf").write_text(EXAMPLE_CNF)
     reduce = ["reduce", "f.cnf", "--k", "2", "--m-param", "5", "--out", "inst"]
     assert run_cli(reduce, capsys)[0] == 0
-    monkeypatch.setattr(reduction, "INSTANCE_SIZE_LIMIT", 110)
+    monkeypatch.setattr(graphs, "INSTANCE_SIZE_LIMIT", 110)
     before = sorted(tmp_path.iterdir())
     code, out, err = run_cli([*reduce[:-1], "other"], capsys)
     assert (code, out) == (2, "")
@@ -450,6 +450,18 @@ def test_astra_single_root(two_cycle, capsys):
     assert result["out_edges"] == [0] and result["in_edges"] == [1]
 
 
+@pytest.mark.parametrize("method", ["exact", "greedy"])
+def test_astra_single_root_matches_the_all_roots_report(tmp_path, capsys, method):
+    for k in range(1, 6):
+        path = tmp_path / f"w{k}.digraph"
+        assert main(["gen", "fig3", "--k", str(k), "--out", str(path)]) == 0
+        base = ["astra", str(path), "--method", method, "--limit", "40"]
+        capsys.readouterr()
+        per_root = run_json(base, capsys)["result"]["per_root"]
+        for root, size in enumerate(per_root):
+            assert run_json([*base, "--root", str(root)], capsys)["result"]["min_size"] == size
+
+
 def test_astra_greedy(two_cycle, capsys):
     report = run_json(["astra", two_cycle, "--method", "greedy"], capsys)
     assert report["result"]["best_min"] == 2
@@ -537,6 +549,26 @@ def test_gen_rejects_bad_parameters(tmp_path, capsys):
     assert run_cli(["gen", "fig3", "--k", "0"], capsys)[0] == 1
     assert run_cli(["gen", "random-sc", "--n", "1"], capsys)[0] == 1
     assert run_cli(["gen", "random-sc", "--n", "3", "--extra", "99"], capsys)[0] == 1
+
+
+def test_gen_refuses_beyond_the_instance_limit(monkeypatch, capsys):
+    # refused before anything is built: at 4 * 10^6 nodes + edges a graph
+    # would take hundreds of MB, so these would exhaust memory if built
+    assert run_cli(["gen", "fig3", "--k", "10000000"], capsys) == (
+        2, "", "error: fig3 generation infeasible at this scale: 30000008 nodes and "
+        "30000013 edges exceed the limit of 4000000\n")
+    assert run_cli(["gen", "random-sc", "--n", "3000000", "--extra", "1000001"], capsys) == (
+        2, "", "error: random-sc generation infeasible at this scale: 3000000 nodes and "
+        "4000001 edges exceed the limit of 4000000\n")
+    # fig3 k = 1 has 11 nodes and 16 edges; random-sc n = 5, extra = 4 has 5 and 9
+    fig3 = ["gen", "fig3", "--k", "1"]
+    random_sc = ["gen", "random-sc", "--n", "5", "--extra", "4"]
+    for command, size in ((fig3, 27), (random_sc, 14)):
+        monkeypatch.setattr(graphs, "INSTANCE_SIZE_LIMIT", size - 1)
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "") and "generation infeasible at this scale" in err
+        monkeypatch.setattr(graphs, "INSTANCE_SIZE_LIMIT", size)
+        assert run_cli(command, capsys)[0] == 0
 
 
 def test_convert_round_trip(tmp_path, capsys):

@@ -37,7 +37,7 @@ from oracle import (
 )
 
 from mret import astra
-from mret.astra import check_pair, exact_pair, greedy_pair, sweep_pairs
+from mret.astra import check_pair, exact_pair, greedy_pair, sweep_blocks
 from mret.cnf import CnfFormula
 from mret.errors import ParseError
 from mret.generators import gen_fig3, gen_random_sc
@@ -336,7 +336,7 @@ def test_every_edge_joins_the_roles_its_phase_names(formula, K, M):
 @given(strongly_connected(max_nodes=8, max_edges=16), st.integers(0, 2**16))
 def test_greedy_sweep_matches_single_roots(g, seed):
     roots = range(g.node_count)
-    swept = list(sweep_pairs(g, roots, seed=seed))
+    swept = sweep_blocks(g, roots, list, seed=seed)[0]
     assert swept == [greedy_pair(g, r, seed) for r in roots]
     for pair in swept:
         check_pair(g, pair)
@@ -349,7 +349,7 @@ def check_greedy_sweep_against_reference(g, seed):
     orders = astra._attempt_orders(g, seed)
     out_bounds = astra._span_bounds(g.out_adj, g.in_adj)
     in_bounds = astra._span_bounds(g.in_adj, g.out_adj)
-    for root, pair in enumerate(sweep_pairs(g, range(g.node_count), seed=seed)):
+    for root, pair in enumerate(sweep_blocks(g, range(g.node_count), list, seed=seed)[0]):
         (out_edges, out_depths), (in_edges, in_depths) = greedy_reference(orders, root)
         assert (pair.out_edges, pair.out_nodes, pair.out_depths) == (
             set(out_edges), set(out_depths), out_depths)

@@ -11,7 +11,7 @@ import pytest
 from instances import EXAMPLE, oversized_instance_texts, refuse_to_build
 from oracle import brute_force_satisfying_assignments
 
-from mret import reduction
+from mret import graphs, reduction
 from mret.cnf import CnfFormula
 from mret.errors import ParseError, ScaleLimitError
 from mret.graphs import (
@@ -185,12 +185,12 @@ def test_build_raises_when_the_node_count_is_off(monkeypatch):
 def test_build_refuses_beyond_the_size_limit(monkeypatch, tmp_path):
     # 39 nodes + 72 edges
     write_instance(build_instance(EXAMPLE, k_override=2, m_override=5), tmp_path / "inst")
-    monkeypatch.setattr(reduction, "INSTANCE_SIZE_LIMIT", 110)
+    monkeypatch.setattr(graphs, "INSTANCE_SIZE_LIMIT", 110)
     with pytest.raises(ScaleLimitError, match="39 nodes and 72 edges exceed the limit of 110"):
         build_instance(EXAMPLE, k_override=2, m_override=5)
     with pytest.raises(ScaleLimitError):
         load_instance(tmp_path / "inst")
-    monkeypatch.setattr(reduction, "INSTANCE_SIZE_LIMIT", 111)
+    monkeypatch.setattr(graphs, "INSTANCE_SIZE_LIMIT", 111)
     assert load_instance(tmp_path / "inst").digraph.node_count == 39
 
 
@@ -199,8 +199,8 @@ def test_size_limit_refuses_official_sizes_and_admits_the_benchmark():
         return p.node_count + p.edge_count
 
     assert size(ReductionParams.official_for(3, 3)) == 24_378_906 + 48_757_806
-    assert size(ReductionParams.official_for(3, 3)) > reduction.INSTANCE_SIZE_LIMIT
-    assert size(ReductionParams(20, 60, 60, 12_000)) <= reduction.INSTANCE_SIZE_LIMIT
+    assert size(ReductionParams.official_for(3, 3)) > graphs.INSTANCE_SIZE_LIMIT
+    assert size(ReductionParams(20, 60, 60, 12_000)) <= graphs.INSTANCE_SIZE_LIMIT
 
 
 def test_build_validation():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mret import astra
-from mret.astra import best_root, sweep_blocks, sweep_pairs
+from mret.astra import best_root, exact_pair, greedy_pair, sweep_blocks
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
 from mret.solvers import solve_arborescence
@@ -36,10 +36,10 @@ def wait_for_one_thread():
 
 
 @contextlib.contextmanager
-def forking(on: bool, cpus: int = 2, processes: int | None = None):
-    """Force the greedy sweep to fork over `cpus` CPUs (`on`) or to stay
-    in this process, and lift the process cap to `processes` if given;
-    yields the list that counts the forks made."""
+def forking(on: bool, cpus: int = 2):
+    """Force the greedy sweep to fork with `cpus` CPUs in the affinity set
+    (`on`) or to stay in this process; yields the list that counts the
+    forks made."""
     forks = []
     fork = os.fork
 
@@ -51,8 +51,6 @@ def forking(on: bool, cpus: int = 2, processes: int | None = None):
         mp.setattr(astra, "FORK_WORK_THRESHOLD", 0 if on else 10**18)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         mp.setattr(os, "fork", counted_fork)
-        if processes is not None:
-            mp.setattr(astra, "FORK_PROCESS_LIMIT", processes)
         yield forks
     assert_no_children()
 
@@ -99,12 +97,22 @@ def test_fixed_corpus_forked_equals_serial():
 def test_blocks_partition_the_roots_in_order():
     g = gen_fig3(3)[0]
     roots = [5, 0, 7, 3, 9, 1, 2]
-    cases = [(1, None, 1), (2, None, 2), (64, None, 2), (3, 4, 3), (64, 4, 4), (64, 9, 7)]
-    for cpus, processes, blocks in cases:
-        with forking(True, cpus, processes) as forks:
+    for cpus, blocks in [(1, 1), (2, 2)]:
+        with forking(True, cpus) as forks:
             out = sweep_blocks(g, roots, lambda pairs: [pair.root for pair in pairs])
         assert len(out) == blocks and len(forks) == blocks - 1
         assert [root for block in out for root in block] == roots
+
+
+def test_a_wide_host_forks_one_child_for_the_second_half():
+    g = gen_fig3(3)[0]
+    with forking(True, cpus=64) as forks:
+        out = sweep_blocks(g, [5, 0, 7, 3, 9, 1, 2],
+                           lambda pairs: (os.getpid(), [pair.root for pair in pairs]))
+    assert len(forks) == 1
+    (caller, first), (child, second) = out
+    assert caller == os.getpid() != child
+    assert (first, second) == ([5, 0, 7], [3, 9, 1, 2])
 
 
 def test_failing_child_block_raises_and_is_reaped(monkeypatch):
@@ -139,10 +147,10 @@ def test_failing_parent_block_kills_its_children(monkeypatch, error):
 
     monkeypatch.setattr(astra, "_greedy_best", parent_fails)
     started = time.monotonic()
-    with forking(True, cpus=3, processes=3) as forks:
+    with forking(True) as forks:
         with pytest.raises(error):
             best_root(g, "greedy")
-    assert len(forks) == 2 and time.monotonic() - started < 20
+    assert len(forks) == 1 and time.monotonic() - started < 20
 
 
 def test_serial_fallbacks():
@@ -207,14 +215,21 @@ def test_no_fork_while_threads_unknown_to_threading_run():
         wait_for_one_thread()
 
 
-def test_single_roots_and_exact_sweeps_stay_serial():
+def test_single_roots_and_exact_sweeps_stay_serial(monkeypatch):
     g = gen_fig3(2)[0]
+    asked = []
+    may_fork = astra._may_fork
+    monkeypatch.setattr(astra, "_may_fork", lambda: asked.append(1) or may_fork())
     with forking(True) as forks:
         solve_arborescence(g, root=3)
         best_root(g, "exact", limit=g.edge_count)
         sweep_blocks(g, [4], lambda pairs: [pair.root for pair in pairs])
-        list(sweep_pairs(g, range(g.node_count)))
-    assert not forks
+        greedy_pair(g, 3)
+        exact_pair(g, 3, limit=g.edge_count)
+    assert not forks and not asked
+    with forking(False) as forks:  # below the work threshold: no thread check either
+        arb_and_greedy(g)
+    assert not forks and not asked
 
 
 def test_a_failed_fork_runs_the_block_in_the_caller():
@@ -224,7 +239,7 @@ def test_a_failed_fork_runs_the_block_in_the_caller():
     def no_process():
         raise BlockingIOError("Resource temporarily unavailable")
 
-    with forking(True, cpus=3), pytest.MonkeyPatch.context() as mp:
+    with forking(True), pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "fork", no_process)
         assert arb_and_greedy(g) == want
 
@@ -314,9 +329,10 @@ astra.FORK_WORK_THRESHOLD = 0
 os.sched_getaffinity = lambda pid: {{0, 1}}
 caller, greedy_best = os.getpid(), astra._greedy_best
 def slow(root, orders, bounds):
-    if os.getpid() != caller:
-        with open({str(tmp_path / "child")!r}, "a") as f:
+    if os.getpid() != caller:  # written whole, then renamed: a poll never reads it half done
+        with open({str(tmp_path / "child.tmp")!r}, "w") as f:
             f.write(f"{{os.getpid()}}\\n")
+        os.replace({str(tmp_path / "child.tmp")!r}, {str(tmp_path / "child")!r})
     time.sleep(0.1)
     return greedy_best(root, orders, bounds)
 astra._greedy_best = slow
