@@ -7,11 +7,11 @@ include the root).  `sweep_blocks` is the one root sweep: it checks
 the method, the scale limits, the roots and strong connectivity once,
 then summarizes the greedy pairs (a fast heuristic built on residual
 breadth-first searches) or the exact pairs (out-trees enumerated with
-pruning, the small-scale ground truth) of its roots; a large greedy
-sweep forks one child for the second half of the roots.  `greedy_pair`
-and `exact_pair` search one root and `best_root` sweeps all.  A pair
-holds each tree once, as an edge set and a depth map, and `check_pair`
-verifies both edge by edge in linear time.
+pruning up to a work limit, the small-scale ground truth) of its roots;
+a large greedy sweep forks one child for the second half of the roots.
+`greedy_pair` and `exact_pair` search one root, `best_root` sweeps all.
+A pair holds each tree once, as an edge set and a depth map, and
+`check_pair` verifies both edge by edge in linear time.
 
 A greedy attempt grows its first tree in the whole graph, so on a
 strongly connected graph that tree spans every node and the attempt's
@@ -51,9 +51,9 @@ GREEDY_SWEEP_WORK_LIMIT = 10**7
 FORK_WORK_THRESHOLD = 10**5
 # POSIX's number for SIGKILL; `import signal` would add about 1 ms to start-up
 _SIGKILL = 9
-# Nodes of the largest exact pair search: it recurses once per out-tree node,
-# and Python's default limit of 1,000 frames must leave room for the caller's
-EXACT_DEPTH_LIMIT = 900
+# Work of an exact pair sweep, visited out-trees * (nodes + edges).  A unit cost
+# 89-275 ns on a 2-CPU host (fig3 and random-sc sweeps): 4-14 s at the limit.
+EXACT_PAIR_WORK_LIMIT = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,13 @@ def _root_search(
         orders = _attempt_orders(g, seed)
         bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
         return lambda root: _greedy_best(root, orders, bounds)
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     if g.edge_count > limit:
         raise ScaleLimitError(f"exact pair search infeasible at this scale: "
                               f"{g.edge_count} edges exceed the limit of {limit}")
-    if g.node_count > EXACT_DEPTH_LIMIT:
-        raise ScaleLimitError(f"exact pair search infeasible at this scale: {g.node_count} "
-                              f"nodes exceed the depth limit of {EXACT_DEPTH_LIMIT}")
-    return lambda root: _exact_best(g, root)
+    visits = iter(range(EXACT_PAIR_WORK_LIMIT // (g.node_count + g.edge_count)))  # one per visit
+    return lambda root: _exact_best(g, root, visits)
 
 
 def sweep_blocks(
@@ -245,15 +245,15 @@ def sweep_blocks(
     First, once for the whole sweep and in the calling process, it checks
     the method, the greedy work (roots * (nodes + edges)), every root,
     that the graph has nodes and is strongly connected, and the exact
-    edge `limit` and depth limit; scale limits raise ScaleLimitError, the
-    rest ValueError.  A greedy sweep of two or more roots and at least
-    FORK_WORK_THRESHOLD units of work is then split in halves when
-    `_may_fork` allows, and a forked child sweeps the second half and
-    sends back only its summary, written with `marshal`, so `summarize`
-    must return ints, strings and tuples or lists of them.  Otherwise the
-    roots are one block, swept in the calling process.  Each summary
-    depends only on its block's pairs, so merged in order the blocks give
-    the same result either way.
+    edge `limit`; scale limits raise ScaleLimitError, the rest ValueError,
+    and an exact sweep raises ScaleLimitError too as soon as its visited
+    out-trees * (nodes + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy
+    sweep of two or more roots and FORK_WORK_THRESHOLD units of work or
+    more is then split in halves when `_may_fork` allows, and a forked
+    child sweeps the second half and sends back only its summary, written
+    with `marshal`, so `summarize` must return ints, strings and tuples or
+    lists of them.  Otherwise the roots are one block, swept in the caller.
+    Merged in order, the blocks give the same result either way.
     """
     roots = list(roots)
     search = _root_search(g, roots, method, seed, limit)
@@ -381,57 +381,56 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     the incumbent's key.  A child reuses its parent's in-tree when the
     edge it adds is not on that tree, and the first child its parent's
     reach, which bans the same edges.  Ties break toward larger total
-    span, then lexicographically smaller edge sets.
+    span, then lexicographically smaller edge sets.  Past
+    EXACT_PAIR_WORK_LIMIT units of work it raises ScaleLimitError.
     """
     return _root_search(g, [root], "exact", 0, limit)(root)
 
 
-def _exact_best(g: Digraph, root: int) -> ArborescencePair:
-    """`exact_pair` on a graph already checked by `_root_search`."""
+def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePair:
+    """`exact_pair` after `_root_search`'s checks, each visited out-tree taking one of the
+    sweep's `visits`.  A stack frame holds an open out-tree's frontier iterator, the edges
+    its children ban, its in-tree and its out-reach."""
     edges, fwd, rev = g.edges, g.out_adj, g.in_adj
-
-    best = None  # (sizes, sorted edge lists, pair) of the incumbent
-
-    def visit(tree_edges, depths, banned, in_tree, out_reach):
-        # `depths`: out-tree node -> depth; `in_tree`, `out_reach`: residual in-tree and reach
-        nonlocal best
+    tree_edges, depths = [], {root: 0}  # the out-tree in hand: one edge per frame but the root's
+    stack, best = [], None  # best: (sizes, sorted edge lists, pair) of the incumbent
+    in_tree, out_reach, banned = bfs_tree(rev, (root,)), g.node_count, set()  # strongly connected
+    while True:
+        if next(visits, None) is None:
+            raise ScaleLimitError(f"exact pair search infeasible at this scale: its out-trees "
+                                  f"over {g.node_count} nodes and {g.edge_count} edges pass the "
+                                  f"work limit of {EXACT_PAIR_WORK_LIMIT} units")
         in_size = len(in_tree[0])
         sizes = (min(len(depths), in_size), len(depths) + in_size)
         if best is None or sizes >= best[0]:
             edge_sets = (sorted(tree_edges), sorted(in_tree[1]))
             if best is None or sizes > best[0] or edge_sets < best[1]:
                 best = (sizes, edge_sets, _pair(root, (depths, tree_edges, depths), in_tree))
-        if (min(out_reach, in_size), out_reach + in_size) < best[0]:
-            # extensions span at most `out_reach` out and `in_size` in, so their
-            # keys stay below the incumbent's; an equal bound keeps the tie-break
-            return
-        frontier = sorted(
-            ei for u in depths for v, ei in fwd[u] if v not in depths and ei not in banned
-        )
-        child_banned = set(banned)
-        for i, ei in enumerate(frontier):
-            a, b = edges[ei]
-            tree_edges.append(ei)
-            depths[b] = depths[a] + 1
-            # banning an edge off the in-tree leaves that BFS tree as it is;
-            # the first child bans what its parent does, and b is in its reach
-            child_in = (bfs_tree(rev, (root,), frozenset(tree_edges))
-                        if ei in in_tree[1] else in_tree)
-            reach = len(bfs_tree(fwd, depths, child_banned)[0]) if i else out_reach
-            visit(tree_edges, depths, child_banned, child_in, reach)
-            tree_edges.pop()
-            del depths[b]
-            # banning the edge for later siblings makes each tree appear once
-            child_banned.add(ei)
-
-    try:
-        visit([], {root: 0}, set(), bfs_tree(rev, (root,)), len(bfs_tree(fwd, (root,))[0]))
-    except RecursionError:  # a deep caller left fewer frames than EXACT_DEPTH_LIMIT assumes
-        raise ScaleLimitError(f"exact pair search infeasible at this scale: its {g.node_count} "
-                              f"nodes nest deeper than the recursion limit allows") from None
-    finally:
-        del visit  # it refers to itself: free it and the search without the cyclic collector
-    return best[2]
+        # extensions span at most `out_reach` out and `in_size` in: a tree whose
+        # bound is below the incumbent's key stays closed; an equal one keeps the tie-break
+        if (min(out_reach, in_size), out_reach + in_size) >= best[0]:
+            frontier = sorted(ei for u in depths for v, ei in fwd[u]
+                              if v not in depths and ei not in banned)
+            stack.append((enumerate(frontier), set(banned), in_tree, out_reach))
+        while stack:
+            children, banned, in_tree, out_reach = stack[-1]
+            if len(tree_edges) == len(stack):  # the child last taken here is done
+                del depths[edges[tree_edges[-1]][1]]
+                banned.add(tree_edges.pop())  # banned for later siblings: each tree appears once
+            child = next(children, None)
+            if child is not None:
+                break
+            stack.pop()
+        else:
+            return best[2]
+        i, ei = child
+        a, b = edges[ei]
+        tree_edges.append(ei)
+        depths[b] = depths[a] + 1
+        # banning an edge off the in-tree leaves that BFS tree as it is;
+        # the first child bans what its parent does, and b is in its reach
+        in_tree = bfs_tree(rev, (root,), frozenset(tree_edges)) if ei in in_tree[1] else in_tree
+        out_reach = len(bfs_tree(fwd, depths, banned)[0]) if i else out_reach
 
 
 def best_root(
@@ -443,7 +442,8 @@ def best_root(
     child sends back only its roots' min-sizes, and the report is the
     same whether it forked or not.
     """
-    blocks = sweep_blocks(g, range(g.node_count), _min_sizes, method, seed, limit)
+    blocks = sweep_blocks(g, range(g.node_count), lambda pairs: [p.min_size for p in pairs],
+                          method, seed, limit)
     per_root = [size for block in blocks for size in block]
     best = max(range(g.node_count), key=lambda r: (per_root[r], -r))
     return AstraReport(
@@ -453,10 +453,6 @@ def best_root(
         best_min=per_root[best],
         ratio=per_root[best] / g.node_count,
     )
-
-
-def _min_sizes(pairs: Iterator[ArborescencePair]) -> list[int]:
-    return [pair.min_size for pair in pairs]
 
 
 def check_pair(g: Digraph, pair: ArborescencePair) -> None:

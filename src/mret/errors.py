@@ -25,6 +25,7 @@ def parse_file(parse, read, path, *args):
 class ScaleLimitError(Exception):
     """An operation was asked to run beyond one of its scale limits.
 
-    Raised before the work starts, instead of truncating it or running
-    out of time or memory; the CLI maps this to exit code 2.
+    Raised instead of truncating the work or running out of time or
+    memory: before the work starts, or in progress for a limit on work
+    counted as it runs; the CLI maps this to exit code 2.
     """

@@ -121,11 +121,11 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
     """
     _reject_self_loops(g)
     m = g.edge_count
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     if m > limit:
-        raise ScaleLimitError(
-            f"exact search infeasible at this scale: "
-            f"{m} edges exceed the limit of {limit}"
-        )
+        raise ScaleLimitError(f"exact search infeasible at this scale: {m} edges exceed "
+                              f"the limit of {limit}")
     edges = g.edges
     chains = [[dependent(e, f) for f in edges] for e in edges]
     reach = initial_reach(g.node_count)
@@ -176,19 +176,22 @@ def solve_local(
     ties going to the lexicographically smaller order.
     """
     _reject_self_loops(g)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if steps is not None and steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     n, m, edges = g.node_count, g.edge_count, g.edges
     rng = random.Random(seed)
     best_total, best_order = -1, ()
     explored = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         order = list(range(m))
         rng.shuffle(order)
         current = sum(map(int.bit_count, _propagate(n, edges, order)))
         explored += 1
         moves = 0
         while steps is None or moves < steps:
-            swap_total = current
-            swap_at = None
+            swap_total, swap_at = current, None
             for j in range(m - 1):
                 if not dependent(edges[order[j]], edges[order[j + 1]]):
                     continue
@@ -206,8 +209,7 @@ def solve_local(
             moves += 1
         key = tuple(order)
         if current > best_total or (current == best_total and key < best_order):
-            best_total = current
-            best_order = key
+            best_total, best_order = current, key
     return SolveResult("local-search", Schedule(best_order), best_total, explored)
 
 

@@ -162,19 +162,21 @@ def test_exact_limit():
     exact_pair(g, 0, limit=21)
 
 
-def test_exact_pair_refuses_a_search_deeper_than_the_recursion_limit():
-    # a bidirected path of EXACT_DEPTH_LIMIT nodes passes the depth check, and
-    # its out-tree from node 0 nests that deep: a caller that leaves fewer
-    # frames than that (about 110 deep at the default limit of 1,000) gets
-    # a refusal, not a RecursionError
-    n = astra.EXACT_DEPTH_LIMIT
+def test_exact_pair_runs_deeper_than_the_recursion_limit():
+    # from node 0 of a bidirected 1,200-node path the out-tree grows 1,200
+    # deep, far past the frames left to a caller within 100 of the limit:
+    # the search keeps its out-trees on a stack, not on Python's
+    n = 1200
     g = Digraph(n, tuple(e for i in range(n - 1) for e in ((i, i + 1), (i + 1, i))))
 
     def nested(depth):
         return nested(depth - 1) if depth else exact_pair(g, 0, limit=g.edge_count)
 
-    with pytest.raises(ScaleLimitError, match="deeper than the recursion limit"):
-        nested(sys.getrecursionlimit() - n + 10)
+    pair = nested(sys.getrecursionlimit() - 100)
+    check_pair(g, pair)
+    assert pair.min_size == n
+    assert (pair.out_edges, pair.in_edges) == (frozenset(range(0, 2 * n - 2, 2)),
+                                               frozenset(range(1, 2 * n - 2, 2)))
 
 
 def test_rejects_bad_inputs():
@@ -409,3 +411,37 @@ def test_greedy_sweep_work_bound(monkeypatch):
             sweep()
     assert solve_arborescence(g, root=2).certificate
     check_pair(g, greedy_pair(g, 2))
+
+
+# visited out-trees * (nodes + edges) of the all-roots exact sweeps of the
+# fig3 windmills k = 10 (search-small's astra_exact) and k = 40
+FIG3_EXACT_SWEEP_WORK = {10: 4661 * (38 + 43), 40: 109_271 * (128 + 133)}
+
+
+def test_exact_sweep_work_bound(monkeypatch):
+    # the limit admits both sweeps; each passes at exactly its work
+    limit = astra.EXACT_PAIR_WORK_LIMIT
+    for k, work in FIG3_EXACT_SWEEP_WORK.items():
+        assert work <= limit
+        monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", work)
+        g = gen_fig3(k)[0]
+        assert best_root(g, "exact", limit=g.edge_count).best_min == k + 6
+
+
+def test_exact_sweep_refuses_past_its_work_limit(monkeypatch):
+    # the work counts over the whole sweep, so one out-tree less than the
+    # k = 10 sweep visits refuses it, while each of its roots alone passes
+    g = gen_fig3(10)[0]
+    limit = FIG3_EXACT_SWEEP_WORK[10] - 1
+    monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", limit)
+    with pytest.raises(ScaleLimitError, match="^exact pair search infeasible at this scale: its "
+                       f"out-trees over 38 nodes and 43 edges pass the work limit of {limit} units$"):
+        best_root(g, "exact", limit=g.edge_count)
+    assert [exact_pair(g, root, limit=43).min_size for root in (0, 37)] == [16, 11]
+    # a random graph whose search outgrows any edge cap's promise: refused in bounded work
+    g = gen_random_sc(30, 60, seed=0)
+    monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", 10**6)
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimitError, match="30 nodes and 90 edges pass the work limit"):
+        exact_pair(g, 0, limit=g.edge_count)
+    assert time.perf_counter() - start < 30

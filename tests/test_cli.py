@@ -176,19 +176,31 @@ def test_greedy_sweep_refuses_by_scale_before_connectivity(tmp_path, monkeypatch
                                             "units of work, over the limit of 14\n")
 
 
-def test_exact_pair_refuses_beyond_the_depth_limit(tmp_path, capsys):
-    # the search recurses once per out-tree node: a bidirected 900-node path
-    # goes 900 levels deep and still runs; a 3,000-cycle is refused up front
+def test_exact_pair_searches_past_900_nodes_and_refuses_by_work(tmp_path, monkeypatch, capsys):
+    # a bidirected 1,200-node path nests its out-tree 1,200 deep and runs;
+    # from node 0 the search visits 1,200 out-trees of 1,200 + 2,398 units
+    # each, so one out-tree less of work refuses it at the last one
     path = tmp_path / "path.digraph"
-    path.write_text("900 1798\n" + "".join(f"{i} {i + 1}\n{i + 1} {i}\n" for i in range(899)))
-    result = run_json(["astra", str(path), "--limit", "3000", "--root", "0"], capsys)["result"]
-    assert result["min_size"] == 900
-    cycle = tmp_path / "cyc3000.digraph"
-    cycle.write_text("3000 3000\n" + "".join(f"{i} {(i + 1) % 3000}\n" for i in range(3000)))
-    code, out, err = run_cli(["astra", str(cycle), "--limit", "3000", "--root", "0"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: exact pair search infeasible at this scale: 3000 nodes exceed " \
-        "the depth limit of 900\n"
+    path.write_text("1200 2398\n" + "".join(f"{i} {i + 1}\n{i + 1} {i}\n" for i in range(1199)))
+    command = ["astra", str(path), "--limit", "3000", "--root", "0"]
+    assert run_json(command, capsys)["result"]["min_size"] == 1200
+    monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", 1199 * 3598)
+    assert run_cli(command, capsys) == (2, "", "error: exact pair search infeasible at this "
+                                        "scale: its out-trees over 1200 nodes and 2398 edges "
+                                        "pass the work limit of 4314002 units\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["solve", "--method", "local", "--restarts", "0"], "restarts must be at least 1, got 0"),
+    (["solve", "--method", "local", "--restarts", "-4"], "restarts must be at least 1, got -4"),
+    (["solve", "--method", "local", "--steps", "-2"], "steps must be at least 0, got -2"),
+    (["solve", "--limit", "-1"], "limit must be at least 0, got -1"),
+    (["astra", "--limit", "-5"], "limit must be at least 0, got -5"),
+])
+def test_bad_counts_are_invalid_input(four_cycle, command, message, capsys):
+    # a count out of range exits 1; it never runs as some other count
+    code, out, err = run_cli([command[0], four_cycle, *command[1:]], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_exact_pair_refusal_names_the_limit(four_cycle, capsys):
