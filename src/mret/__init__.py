@@ -43,6 +43,7 @@ from .reduction import (
     build_instance,
     certify,
     check_bounds,
+    constructive_total,
     instance_manifest,
     load_instance,
     lower_bound,
@@ -81,6 +82,7 @@ __all__ = [
     "certify",
     "check_bounds",
     "check_pair",
+    "constructive_total",
     "evaluate_schedule",
     "evaluate_temporalisation",
     "exact_pair",

@@ -33,7 +33,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import ScaleLimitError
+from .errors import ScaleLimitError, check_count
 from .graphs import Digraph, bfs_tree, is_strongly_connected
 
 GREEDY_RANDOM_ATTEMPTS = 6
@@ -227,8 +227,7 @@ def _root_search(
         orders = _attempt_orders(g, seed)
         bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
         return lambda root: _greedy_best(root, orders, bounds)
-    if limit < 0:
-        raise ValueError(f"limit must be at least 0, got {limit}")
+    check_count("limit", limit, 0)
     if g.edge_count > limit:
         raise ScaleLimitError(f"exact pair search infeasible at this scale: "
                               f"{g.edge_count} edges exceed the limit of {limit}")
@@ -393,7 +392,7 @@ def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePai
     its children ban, its in-tree and its out-reach."""
     edges, fwd, rev = g.edges, g.out_adj, g.in_adj
     tree_edges, depths = [], {root: 0}  # the out-tree in hand: one edge per frame but the root's
-    stack, best = [], None  # best: (sizes, sorted edge lists, pair) of the incumbent
+    stack, best = [], None  # best: (sizes, sorted edge lists, depths, in-tree) of the incumbent
     in_tree, out_reach, banned = bfs_tree(rev, (root,)), g.node_count, set()  # strongly connected
     while True:
         if next(visits, None) is None:
@@ -405,7 +404,7 @@ def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePai
         if best is None or sizes >= best[0]:
             edge_sets = (sorted(tree_edges), sorted(in_tree[1]))
             if best is None or sizes > best[0] or edge_sets < best[1]:
-                best = (sizes, edge_sets, _pair(root, (depths, tree_edges, depths), in_tree))
+                best = (sizes, edge_sets, dict(depths), in_tree)
         # extensions span at most `out_reach` out and `in_size` in: a tree whose
         # bound is below the incumbent's key stays closed; an equal one keeps the tie-break
         if (min(out_reach, in_size), out_reach + in_size) >= best[0]:
@@ -422,7 +421,8 @@ def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePai
                 break
             stack.pop()
         else:
-            return best[2]
+            _, (out_edges, _), out_depths, in_tree = best
+            return _pair(root, (out_depths, out_edges, out_depths), in_tree)
         i, ei = child
         a, b = edges[ei]
         tree_edges.append(ei)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .astra import best_root, exact_pair, greedy_pair
 from .cnf import parse_assignment, parse_dimacs
-from .errors import ParseError, ScaleLimitError, parse_file
+from .errors import ParseError, ScaleLimitError, check_count, parse_file
 from .generators import gen_fig3, gen_random_sc
 from .graphs import (
     Schedule,
@@ -52,7 +52,6 @@ from .reduction import (
     check_bounds,
     instance_manifest,
     load_instance,
-    schedule_from_assignment,
     write_instance,
 )
 from .solvers import solve_arborescence, solve_exact, solve_local
@@ -146,6 +145,11 @@ def cmd_eval(args, run: _Run) -> dict:
 
 
 def cmd_solve(args, run: _Run) -> dict:
+    # every count is checked, also those the chosen method does not use
+    check_count("limit", args.limit, 0)
+    check_count("restarts", args.restarts, 1)
+    if args.steps is not None:
+        check_count("steps", args.steps, 0)
     g = parse_file(parse_digraph, run.read, args.graph)
     if args.method == "exact":
         res = solve_exact(g, limit=args.limit)
@@ -174,13 +178,12 @@ def cmd_reduce(args, run: _Run) -> dict:
 def cmd_certify(args, run: _Run) -> dict:
     inst = load_instance(args.prefix, run.read)
     if args.assignment is not None:
-        bits = parse_assignment(args.assignment, inst.formula.variable_count)
-        schedule = schedule_from_assignment(inst, bits)
+        witness = parse_assignment(args.assignment, inst.formula.variable_count)
         source = "assignment"
     else:
-        schedule = parse_file(parse_schedule, run.read, args.schedule, inst.digraph.edge_count)
+        witness = parse_file(parse_schedule, run.read, args.schedule, inst.digraph.edge_count)
         source = "schedule"
-    verdict = certify(inst, schedule)
+    verdict = certify(inst, witness)
     return {
         "source": source,
         "total": verdict["total"],
@@ -208,6 +211,7 @@ def cmd_bounds(args, run: _Run) -> dict:
 
 
 def cmd_astra(args, run: _Run) -> dict:
+    check_count("limit", args.limit, 0)  # the greedy method does not use it
     g = parse_file(parse_digraph, run.read, args.graph)
     if args.root is None:
         return best_root(g, args.method, seed=args.seed, limit=args.limit).to_json()

@@ -22,6 +22,12 @@ def parse_file(parse, read, path, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def check_count(name: str, value: int, least: int) -> None:
+    """Raise ValueError unless the count `name` is at least `least`."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 class ScaleLimitError(Exception):
     """An operation was asked to run beyond one of its scale limits.
 

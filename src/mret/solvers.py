@@ -31,7 +31,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .astra import ArborescencePair, sweep_blocks
-from .errors import ScaleLimitError
+from .errors import ScaleLimitError, check_count
 from .graphs import Digraph, Schedule
 from .reachability import _propagate, initial_reach
 
@@ -121,8 +121,7 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
     """
     _reject_self_loops(g)
     m = g.edge_count
-    if limit < 0:
-        raise ValueError(f"limit must be at least 0, got {limit}")
+    check_count("limit", limit, 0)
     if m > limit:
         raise ScaleLimitError(f"exact search infeasible at this scale: {m} edges exceed "
                               f"the limit of {limit}")
@@ -176,10 +175,9 @@ def solve_local(
     ties going to the lexicographically smaller order.
     """
     _reject_self_loops(g)
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if steps is not None and steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps}")
+    check_count("restarts", restarts, 1)
+    if steps is not None:
+        check_count("steps", steps, 0)
     n, m, edges = g.node_count, g.edge_count, g.edges
     rng = random.Random(seed)
     best_total, best_order = -1, ()

@@ -94,6 +94,10 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
     for bits in ("FTT", "TTT", "FFF", "101"):
         add(f"certify/assignment/{bits}", ["certify", "inst", "--assignment", bits])
     add("certify/schedule", ["certify", "inst", "--schedule", "inst.schedule"])
+    # K = 3 and M = 7: the b, d and e nodes come in twin classes of several members
+    add("reduce/k3_m7", ["reduce", "f.cnf", "--k", "3", "--m-param", "7", "--out", "inst3"])
+    for bits in ("FTT", "TTF", "FFT", "FFF"):
+        add(f"certify/k3_m7/assignment/{bits}", ["certify", "inst3", "--assignment", bits])
 
     for name, g in graphs.items():
         stem, m = name.removesuffix(".digraph"), g.edge_count
@@ -133,6 +137,12 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
     add("refuse/solve-arb-not-sc", ["solve", "path3.digraph", "--method", "arb"])
     for method in ("exact", "local", "arb"):
         add(f"refuse/solve-{method}-self-loop", ["solve", "loop.digraph", "--method", method])
+    # a count the chosen method does not use is checked all the same
+    add("refuse/solve-exact-restarts", ["solve", "cycle4.digraph", "--restarts", "0"])
+    add("refuse/solve-exact-steps", ["solve", "cycle4.digraph", "--steps", "-1"])
+    add("refuse/solve-arb-limit", ["solve", "cycle4.digraph", "--method", "arb", "--limit", "-5"])
+    add("refuse/astra-greedy-limit",
+        ["astra", "cycle4.digraph", "--method", "greedy", "--limit", "-5"])
     add("refuse/parse-digraph", ["astra", "bad.digraph"])
     add("refuse/eval-short-schedule", ["eval", "cycle4.digraph", "short.schedule"])
     add("refuse/eval-times-as-schedule",

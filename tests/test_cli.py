@@ -196,6 +196,12 @@ def test_exact_pair_searches_past_900_nodes_and_refuses_by_work(tmp_path, monkey
     (["solve", "--method", "local", "--steps", "-2"], "steps must be at least 0, got -2"),
     (["solve", "--limit", "-1"], "limit must be at least 0, got -1"),
     (["astra", "--limit", "-5"], "limit must be at least 0, got -5"),
+    # counts the chosen method does not use
+    (["solve", "--method", "exact", "--restarts", "0"], "restarts must be at least 1, got 0"),
+    (["solve", "--method", "exact", "--steps", "-1"], "steps must be at least 0, got -1"),
+    (["solve", "--method", "arb", "--limit", "-5"], "limit must be at least 0, got -5"),
+    (["solve", "--method", "local", "--limit", "-1"], "limit must be at least 0, got -1"),
+    (["astra", "--method", "greedy", "--limit", "-5"], "limit must be at least 0, got -5"),
 ])
 def test_bad_counts_are_invalid_input(four_cycle, command, message, capsys):
     # a count out of range exits 1; it never runs as some other count

@@ -8,6 +8,8 @@ import json
 
 import corpus
 
+from mret import reduction
+
 
 def test_corpus_digests_are_unchanged():
     want = json.loads(corpus.DIGESTS.read_text())
@@ -15,3 +17,21 @@ def test_corpus_digests_are_unchanged():
     assert sorted(got) == sorted(want), "the case list differs from the recorded one"
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"{len(changed)} corpus cases changed: {changed}"
+
+
+def test_certify_assignment_cases_do_not_run_the_engine(tmp_path, monkeypatch):
+    # the certify --assignment totals come from the twin classes alone
+    want = json.loads(corpus.DIGESTS.read_text())
+    monkeypatch.chdir(tmp_path)
+    graphs = corpus.write_inputs()
+
+    def refuse(*args):
+        raise AssertionError("the engine evaluated an assignment")
+
+    monkeypatch.setattr(reduction, "total_reachability", refuse)
+    checked = 0
+    for name, argv, fork in corpus.cases(graphs):
+        if name.startswith("reduce/") or "--assignment" in argv:
+            assert corpus.run_case(argv, fork) == want[name], name
+            checked += name.startswith("certify/")
+    assert checked == 8

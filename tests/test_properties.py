@@ -67,6 +67,7 @@ from mret.reachability import (
 from mret.reduction import (
     build_instance,
     certify,
+    constructive_total,
     load_instance,
     schedule_from_assignment,
     write_instance,
@@ -278,6 +279,15 @@ def test_instance_files_round_trip(formula, K, M):
         assert load_instance(Path(tmp) / "inst") == inst
     for bits in brute_force_satisfying_assignments(formula.clauses, formula.variable_count):
         assert certify(inst, schedule_from_assignment(inst, bits))["meets_L"]
+
+
+@check
+@given(strict_3cnfs(max_clauses=8), st.integers(1, 4), st.integers(1, 9))
+def test_constructive_total_is_the_engine_total(formula, K, M):
+    inst = build_instance(formula, k_override=K, m_override=M)
+    for bits in brute_force_satisfying_assignments(formula.clauses, formula.variable_count):
+        want = total_reachability(inst.digraph, schedule_from_assignment(inst, bits))
+        assert constructive_total(formula, bits, K, M) == want
 
 
 def role(name):

@@ -21,12 +21,13 @@ from mret.graphs import (
     format_schedule,
     is_strongly_connected,
 )
-from mret.reachability import evaluate_schedule
+from mret.reachability import evaluate_schedule, total_reachability
 from mret.reduction import (
     ReductionParams,
     build_instance,
     certify,
     check_bounds,
+    constructive_total,
     instance_paths,
     load_instance,
     lower_bound,
@@ -235,6 +236,7 @@ def test_schedule_meets_l_for_all_satisfying_assignments():
         verdict = certify(inst, schedule_from_assignment(inst, a))
         assert verdict["meets_L"]
         assert verdict["total"] >= verdict["L"] == 546
+        assert certify(inst, a) == verdict
 
 
 def test_schedule_meets_l_at_any_small_parameters():
@@ -249,6 +251,8 @@ def test_schedule_rejects_unsatisfying_assignment():
     inst = build_instance(EXAMPLE, k_override=1, m_override=1)
     with pytest.raises(ValueError, match="does not satisfy"):
         schedule_from_assignment(inst, (True, True, True))
+    with pytest.raises(ValueError, match="does not satisfy"):
+        certify(inst, (True, True, True))
 
 
 # schedule_from_assignment(...).order for every satisfying assignment of
@@ -343,6 +347,28 @@ def test_large_planted_instance_is_pinned():
         "98646cfa044ec5f4c42dbea317f9763569443fdbb546c3ef503049b875ccfb72")
     assert digest(format_schedule(s)) == (
         "55afb0a4924f5bfd2aa5dbb7e8296b74c1cb9d56c7acbb7ae981400bc5fb8849")
+    total = total_reachability(inst.digraph, s)
+    assert constructive_total(formula, planted, 60, 12_000) == total == 335_210_654
+
+
+def test_satisfying_assignments_meet_l_at_official_parameters(monkeypatch):
+    # the paper's sizes, K = 91nm and M > (H_size + 5)^2, give 2.4 * 10^7
+    # nodes already at n = m = 3: only the class graph (K = M = 1) is built
+    built = []
+
+    def class_graph_only(f, k_override=None, m_override=None):
+        built.append((k_override, m_override))
+        return build_instance(f, k_override, m_override)
+
+    monkeypatch.setattr(reduction, "build_instance", class_graph_only)
+    for n in range(3, 7):
+        for m in (n, 2 * n):
+            formula, planted = planted_formula(n, n, m)
+            p = ReductionParams.official_for(n, m)
+            bounds = check_bounds(p)
+            assert p.official and bounds["L_minus_U1"] > 0 and bounds["L_minus_U2"] > 0
+            assert constructive_total(formula, planted, p.K, p.M) >= bounds["L"], (n, m)
+    assert set(built) == {(1, 1)}
 
 
 def test_schedule_phase_structure():
