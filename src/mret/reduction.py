@@ -283,8 +283,8 @@ def constructive_total(
     order = schedule_from_assignment(classes, assignment).order
     _, _, (b,), _, clauses = _layout(classes.params)
     n = classes.digraph.node_count
-    # their virtual sources take bits n, n + 1, ... in this order: b's (weight M),
-    # then every d_j's and e_j's (weight K)
+    # the multi-member classes, whose virtual sources take bits n, n + 1, ... in
+    # this order: b's (weight M), then every d_j's and e_j's (weight K)
     twins = [b, *(x for _, _, d, e in clauses for x in (*d, *e))]
     virtual = {c: n + i for i, c in enumerate(twins)}
     edges = list(classes.digraph.edges)
