@@ -176,7 +176,7 @@ def cmd_reduce(args, run: _Run) -> dict:
 
 
 def cmd_certify(args, run: _Run) -> dict:
-    inst = load_instance(args.prefix, run.read)
+    inst = load_instance(args.prefix, run.read, evaluate=args.schedule is not None)
     if args.assignment is not None:
         witness = parse_assignment(args.assignment, inst.formula.variable_count)
         source = "assignment"

@@ -32,7 +32,7 @@ from pathlib import Path
 from .errors import ParseError, ScaleLimitError
 
 # nodes + edges of the largest instance built or generated: at the limit
-# `reduce` takes about 2.5 s and 0.6 GB, and certify's parse and rebuild about 1 GB
+# `reduce` takes about 2.5 s and 0.6 GB; `certify` rebuilds the instance once
 INSTANCE_SIZE_LIMIT = 4 * 10**6
 
 

@@ -361,24 +361,39 @@ def write_instance(inst: ReductionInstance, prefix: str | Path, write=_write) ->
     return paths
 
 
-def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
+def _recover_formula(params: ReductionParams, heads, graph_path: Path) -> CnfFormula:
+    """The formula whose clause entries, edges 4n, 4n + 2, ..., 4n + 6m - 2
+    of `build_instance`, have these heads: an entry into t^1 (gadget id 0)
+    is a positive literal, into f^1 (id 2) a negative one."""
+    literal = {ids[k]: (v, k == 0) for v, ids in enumerate(_layout(params)[3]) for k in (0, 2)}
+    entries = [literal.get(b) for b in heads]
+    if None in entries:
+        raise ParseError(f"{graph_path} does not match its manifest parameters")
+    try:
+        return CnfFormula(params.n, tuple(tuple(entries[i : i + 3]) for i in range(0, len(entries), 3)))
+    except ValueError as exc:
+        raise ParseError(f"instance files do not encode a valid formula: {exc}") from None
+
+
+def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> ReductionInstance:
     """Rebuild an instance from its files and verify their consistency.
 
-    `read(path)` gives the text of each file; all three are read, in
-    `instance_paths` order, before the digraph is parsed.  An instance
-    too large to evaluate (`check_reach_budget` on the manifest's node
-    count) or to rebuild (`check_instance_size`) is refused with
-    ScaleLimitError before the digraph is parsed, unless the digraph's
-    header line already contradicts the manifest.
-    The digraph's node and edge counts must match the manifest's
-    parameters before anything is rebuilt.  The formula is then
-    recovered from the clause-entry edges, the instance is rebuilt from
-    scratch, and the stored graph, roles and manifest must match the
-    rebuild exactly.
+    `read(path)` gives the text of each file; all three are read first, in
+    `instance_paths` order.  Before anything is parsed or rebuilt, a
+    digraph whose header line contradicts the manifest is refused, then
+    with ScaleLimitError an instance too large to evaluate (only with
+    `evaluate`: `check_reach_budget`) or to rebuild (`check_instance_size`).
+    A digraph of exactly m + 1 lines under a matching header is proved by
+    its text: the formula is read from its clause-entry lines, the
+    instance is rebuilt, and the digraph and roles files are accepted
+    unparsed where their text is the rebuild's canonical text.  Any other
+    file is parsed: the digraph's counts must match the manifest before
+    anything is rebuilt, the formula is recovered from its clause-entry
+    edges, and the parsed graph and roles must equal the rebuild, as must
+    the manifest.
     """
     graph_path, roles_path, manifest_path = instance_paths(prefix)
-    # str() only names decode errors; the roles are parsed after the
-    # rebuild (parsing them first cost 1 MB peak RSS)
+    # str() only names decode errors
     graph_text = parse_file(str, read, graph_path)
     roles_text = parse_file(str, read, roles_path)
     try:
@@ -387,28 +402,35 @@ def load_instance(prefix: str | Path, read=_read) -> ReductionInstance:
     except (KeyError, TypeError, ValueError) as exc:  # incl. json and decode errors
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
     counts = params.node_count, params.edge_count
-    if header_counts(graph_text) not in (None, counts):
+    header = header_counts(graph_text)
+    if header not in (None, counts):
         raise ParseError(f"{graph_path} does not match its manifest parameters")
-    check_reach_budget(params.node_count)
+    if evaluate:
+        check_reach_budget(params.node_count)
     check_instance_size("reduction", *counts)
-    g = parse_file(parse_digraph, lambda _: graph_text, graph_path)
-    if (g.node_count, g.edge_count) != counts:
-        raise ParseError(f"{graph_path} does not match its manifest parameters")
-    # the clause entries, where build_instance emits them, each followed by its exit;
-    # an entry into t^1 (gadget id 0) is a positive literal, into f^1 (id 2) a negative one
-    n, m = params.n, params.m
-    literal = {ids[k]: (v, k == 0) for v, ids in enumerate(_layout(params)[3]) for k in (0, 2)}
-    entries = [literal.get(b) for _, b in g.edges[4 * n : 4 * n + 6 * m : 2]]
-    if None in entries:
-        raise ParseError(f"{graph_path} does not match its manifest parameters")
-    try:
-        formula = CnfFormula(n, tuple(tuple(entries[i : i + 3]) for i in range(0, 3 * m, 3)))
-    except ValueError as exc:
-        raise ParseError(f"instance files do not encode a valid formula: {exc}") from None
-    rebuilt = build_instance(formula, k_override=params.K, m_override=params.M)
-    if rebuilt.digraph != g:
-        raise ParseError(f"{graph_path} does not match its manifest parameters")
-    if parse_file(parse_roles, lambda _: roles_text, roles_path) != rebuilt.roles:
+    rebuild = partial(build_instance, k_override=params.K, m_override=params.M)
+    entries = slice(4 * params.n, 4 * params.n + 6 * params.m, 2)
+    rebuilt = None
+    if header and graph_text.count("\n") == params.edge_count + 1 and graph_text.endswith("\n"):
+        lines = graph_text.split("\n", 1 + entries.stop)[1:]  # edge i is on lines[i]
+        try:
+            heads = [int(line.partition(" ")[2]) for line in lines[entries]]
+            formula = _recover_formula(params, heads, graph_path)
+        except ValueError:  # an entry line that does not parse leaves the file to the parser
+            pass
+        else:
+            rebuilt = rebuild(formula)
+    if rebuilt is None or graph_text != format_digraph(rebuilt.digraph):
+        g = parse_file(parse_digraph, lambda _: graph_text, graph_path)
+        if (g.node_count, g.edge_count) != counts:
+            raise ParseError(f"{graph_path} does not match its manifest parameters")
+        formula = _recover_formula(params, [b for _, b in g.edges[entries]], graph_path)
+        if rebuilt is None or rebuilt.formula != formula:
+            rebuilt = rebuild(formula)
+        if rebuilt.digraph != g:
+            raise ParseError(f"{graph_path} does not match its manifest parameters")
+    if (roles_text != format_roles(rebuilt.roles)
+            and parse_file(parse_roles, lambda _: roles_text, roles_path) != rebuilt.roles):
         raise ParseError(f"{roles_path} does not match the rebuilt layout")
     if manifest != instance_manifest(rebuilt):
         raise ParseError(f"{manifest_path} does not match the rebuilt instance")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 
+from mret import reduction
 from mret.cnf import CnfFormula
 from mret.reduction import ReductionParams
 
@@ -13,6 +15,20 @@ EXAMPLE = CnfFormula(3, (
     ((0, False), (1, True), (2, True)),
     ((0, False), (1, False), (2, False)),
 ))
+
+
+def planted_formula(seed: int, n: int, m: int) -> tuple[CnfFormula, tuple[bool, ...]]:
+    """A seeded strict 3-CNF satisfied by a planted assignment."""
+    rng = random.Random(seed)
+    planted = tuple(rng.random() < 0.5 for _ in range(n))
+    while True:
+        clauses = []
+        while len(clauses) < m:
+            lits = tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), 3))
+            if any(planted[v] == positive for v, positive in lits):
+                clauses.append(lits)
+        if len({lit for clause in clauses for lit in clause}) == 2 * n:
+            return CnfFormula(n, tuple(clauses)), planted
 
 
 def oversized_instance_texts() -> tuple[str, str, str]:
@@ -33,3 +49,24 @@ def oversized_instance_texts() -> tuple[str, str, str]:
 
 def refuse_to_build(*args, **kwargs):
     raise AssertionError("build_instance called on an instance of the wrong size")
+
+
+def refuse_to_parse(*args, **kwargs):
+    raise AssertionError("an instance file was parsed")
+
+
+def record_builds(monkeypatch) -> list[tuple[int | None, int | None]]:
+    """Make `reduction` refuse to parse a digraph or roles file, and return
+    the list to which each `reduction.build_instance` call appends its
+    (K, M) overrides."""
+    builds = []
+    build = reduction.build_instance
+
+    def recorded(f, k_override=None, m_override=None):
+        builds.append((k_override, m_override))
+        return build(f, k_override, m_override)
+
+    monkeypatch.setattr(reduction, "build_instance", recorded)
+    monkeypatch.setattr(reduction, "parse_digraph", refuse_to_parse)
+    monkeypatch.setattr(reduction, "parse_roles", refuse_to_parse)
+    return builds

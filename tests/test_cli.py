@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from instances import oversized_instance_texts, refuse_to_build
+from instances import oversized_instance_texts, planted_formula, record_builds, refuse_to_build
 
 import mret
 from mret import astra, graphs, reachability, reduction
@@ -373,20 +373,48 @@ def test_certify_reads_what_reduce_wrote_at_a_directory_prefix(tmp_path, capsys)
 
 
 def test_certify_refuses_an_instance_too_large_to_evaluate_before_parsing(
-    instance_prefix, monkeypatch, capsys
+    instance_prefix, tmp_path, monkeypatch, capsys
 ):
+    sched = tmp_path / "rev.sched"
+    sched.write_text(" ".join(str(i) for i in reversed(range(72))) + "\n")
+    argv = ["certify", instance_prefix, "--schedule", str(sched)]
     parsed = []
     monkeypatch.setattr(reduction, "parse_digraph", parsed.append)
+    monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
     # the instance has 39 nodes, whose reach sets take up to 1,521 bits
     monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39 - 1)
-    code, out, err = run_cli(["certify", instance_prefix, "--assignment", "FTT"], capsys)
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "error: evaluation infeasible at this scale: the reach sets of 39 nodes " \
         "take up to 1521 bits, over the limit of 1520\n"
     assert parsed == []
     monkeypatch.undo()
     monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39)
-    assert run_json(["certify", instance_prefix, "--assignment", "FTT"], capsys)["result"]["meets_L"]
+    assert run_json(argv, capsys)["result"]["source"] == "schedule"
+
+
+def test_certify_assignment_is_not_refused_by_the_reach_budget(
+    instance_prefix, monkeypatch, capsys
+):
+    # an assignment is evaluated on the twin classes, never on 39 reach sets
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39 - 1)
+    report = run_json(["certify", instance_prefix, "--assignment", "FTT"], capsys)
+    assert report["result"]["meets_L"] is True
+
+
+def test_certify_proves_the_benchmark_instance_by_its_text(tmp_path, monkeypatch, capsys):
+    # the benchmark's 19,404-node instance: neither file is parsed, and the
+    # instance is rebuilt once at K = 60, M = 12,000, besides the class graph
+    formula, planted = planted_formula(1, 20, 60)
+    cnf = tmp_path / "planted.cnf"
+    cnf.write_text(mret.format_dimacs(formula))
+    prefix = str(tmp_path / "planted")
+    assert run_cli(["reduce", str(cnf), "--k", "60", "--m-param", "12000", "--out", prefix],
+                   capsys)[0] == 0
+    builds = record_builds(monkeypatch)
+    bits = "".join("FT"[b] for b in planted)
+    assert run_json(["certify", prefix, "--assignment", bits], capsys)["result"]["meets_L"]
+    assert builds == [(60, 12000), (1, 1)]
 
 
 def test_certify_records_the_paths_reduce_wrote(tmp_path, monkeypatch, capsys):

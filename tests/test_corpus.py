@@ -7,6 +7,7 @@ A change that alters results on purpose regenerates the file with
 import json
 
 import corpus
+from instances import record_builds
 
 from mret import reduction
 
@@ -35,3 +36,25 @@ def test_certify_assignment_cases_do_not_run_the_engine(tmp_path, monkeypatch):
             assert corpus.run_case(argv, fork) == want[name], name
             checked += name.startswith("certify/")
     assert checked == 8
+
+
+def test_certify_proves_reduce_output_by_its_text(tmp_path, monkeypatch):
+    # certify parses no instance file that reduce wrote, and rebuilds the
+    # instance once at its K and M; an assignment adds the class graph
+    want = json.loads(corpus.DIGESTS.read_text())
+    monkeypatch.chdir(tmp_path)
+    graphs = corpus.write_inputs()
+    builds = record_builds(monkeypatch)
+    sizes = {}
+    checked = 0
+    for name, argv, fork in corpus.cases(graphs):
+        if argv[0] == "reduce":
+            sizes[argv[-1]] = int(argv[argv.index("--k") + 1]), int(argv[argv.index("--m-param") + 1])
+        elif argv[0] != "certify":
+            continue
+        builds.clear()
+        assert corpus.run_case(argv, fork) == want[name], name
+        if argv[0] == "certify":
+            assert builds[0] == sizes[argv[1]] and builds[1:] in ([], [(1, 1)]), name
+            checked += 1
+    assert checked == 10

@@ -16,6 +16,7 @@ import dataclasses
 import tempfile
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ from oracle import (
     timing_outcome,
 )
 
-from mret import astra
+from mret import astra, reduction
 from mret.astra import check_pair, exact_pair, greedy_pair, sweep_blocks
 from mret.cnf import CnfFormula
 from mret.errors import ParseError
@@ -68,6 +69,7 @@ from mret.reduction import (
     build_instance,
     certify,
     constructive_total,
+    instance_paths,
     load_instance,
     schedule_from_assignment,
     write_instance,
@@ -630,6 +632,46 @@ def test_bulk_edge_table_errors_match_line_parser(data, gt, timed):
 def test_noisy_roles_files(data, roles):
     text = data.draw(rendered([[str(i), role] for i, role in enumerate(roles)]))
     assert parse_roles(text) == tuple(roles)
+
+
+def instance_files(inst):
+    """The files `write_instance` writes for `inst` at prefix "inst", by
+    path, and the token rows of its digraph and roles files."""
+    texts = {}
+    write_instance(inst, "inst", texts.__setitem__)
+    rows = edge_rows(inst.digraph), [[str(i), role] for i, role in enumerate(inst.roles)]
+    return texts, rows
+
+
+@check
+@given(st.data(), strict_3cnfs(max_vars=4, max_clauses=4), st.integers(1, 2), st.integers(1, 3))
+def test_instance_files_load_whatever_their_layout(data, formula, K, M):
+    inst = build_instance(formula, k_override=K, m_override=M)
+    texts, rows = instance_files(inst)
+    for path, file_rows in zip(instance_paths("inst"), rows):
+        if data.draw(st.booleans()):
+            texts[path] = data.draw(rendered(file_rows))
+    assert load_instance("inst", texts.__getitem__) == inst
+
+
+@check_mutated
+@given(st.data(), strict_3cnfs(max_vars=4, max_clauses=4), st.integers(1, 2),
+       st.integers(1, 3), st.sampled_from([0, 1]))
+def test_tampered_instance_files_fail_as_the_parse_path_does(data, formula, K, M, which):
+    # one tampered line in the digraph (which = 0) or the roles file, written
+    # in the canonical layout so that the text proof is tried first
+    inst = build_instance(formula, k_override=K, m_override=M)
+    texts, rows = instance_files(inst)
+    tampered = data.draw(mutated(rows[which], inst.digraph.node_count, count=1 - which))
+    texts[instance_paths("inst")[which]] = "".join(" ".join(row) + "\n" for row in tampered)
+    got = outcome(load_instance, "inst", texts.__getitem__)
+    # accepted exactly when both files parse to the instance's graph and roles
+    graph_text, roles_text, _ = texts.values()
+    parsed = outcome(parse_digraph, graph_text), outcome(parse_roles, roles_text)
+    assert (got == ("ok", inst)) == (parsed == (("ok", inst.digraph), ("ok", inst.roles)))
+    # no text equals None, so every file goes through the parser
+    with mock.patch.multiple(reduction, format_digraph=lambda g: None, format_roles=lambda r: None):
+        assert got == outcome(load_instance, "inst", texts.__getitem__)
 
 
 def timing_kind(timing):

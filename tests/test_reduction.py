@@ -2,13 +2,12 @@
 
 import hashlib
 import json
-import random
 import re
 from itertools import permutations, product
 
 import pytest
 
-from instances import EXAMPLE, oversized_instance_texts, refuse_to_build
+from instances import EXAMPLE, oversized_instance_texts, planted_formula, refuse_to_build
 from oracle import brute_force_satisfying_assignments
 
 from mret import graphs, reduction
@@ -319,20 +318,6 @@ def test_schedule_orders_are_pinned():
     assert len(GOLDEN_EXAMPLE_ORDERS) == 10
 
 
-def planted_formula(seed: int, n: int, m: int) -> tuple[CnfFormula, tuple[bool, ...]]:
-    """A seeded strict 3-CNF satisfied by a planted assignment."""
-    rng = random.Random(seed)
-    planted = tuple(rng.random() < 0.5 for _ in range(n))
-    while True:
-        clauses = []
-        while len(clauses) < m:
-            lits = tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), 3))
-            if any(planted[v] == positive for v, positive in lits):
-                clauses.append(lits)
-        if len({lit for clause in clauses for lit in clause}) == 2 * n:
-            return CnfFormula(n, tuple(clauses)), planted
-
-
 def test_large_planted_instance_is_pinned():
     formula, planted = planted_formula(1, 20, 60)
     assert "".join("T" if b else "F" for b in planted) == "TFFTTTFFTTFTFTTFTFFT"
@@ -513,3 +498,39 @@ def test_load_accepts_noncanonical_roles(tmp_path):
     spaced = roles_file.read_text().replace(" ", " \t ")
     roles_file.write_text("# node roles\n\n" + spaced)
     assert load_instance(tmp_path / "inst") == inst
+
+
+LAYOUTS = {
+    "comments": lambda text: "# hardness instance\n" + text.replace("\n", "\n# edge\n", 3),
+    "blank lines": lambda text: text.replace("\n", "\n\n", 5) + "\n",
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("layouts", [*([name] for name in LAYOUTS), list(LAYOUTS)],
+                         ids=[*LAYOUTS, "all"])
+def test_load_accepts_noncanonical_digraph(tmp_path, monkeypatch, layouts):
+    inst = build_instance(EXAMPLE, k_override=2, m_override=5)
+    write_instance(inst, tmp_path / "inst")
+    graph_file = tmp_path / "inst.digraph"
+    text = graph_file.read_text()
+    for name in layouts:
+        text = LAYOUTS[name](text)
+    graph_file.write_bytes(text.encode())
+    builds = []
+    monkeypatch.setattr(reduction, "build_instance",
+                        lambda *args, **kwargs: builds.append(args) or build_instance(*args, **kwargs))
+    # read the bytes as they are: Path.read_text would turn CRLF into LF
+    assert load_instance(tmp_path / "inst", lambda path: path.read_bytes().decode()) == inst
+    assert builds == [(EXAMPLE,)]
+
+
+def test_load_refuses_missing_edge_lines_without_rebuilding(tmp_path, monkeypatch):
+    write_instance(build_instance(EXAMPLE, k_override=2, m_override=5), tmp_path / "inst")
+    graph_file = tmp_path / "inst.digraph"
+    graph_file.write_text("".join(graph_file.read_text().splitlines(keepends=True)[:-2]))
+    monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
+    graph_name = re.escape(str(graph_file))
+    with pytest.raises(ParseError, match=f"^{graph_name}: line 1: expected 72 edge lines, found 70$"):
+        load_instance(tmp_path / "inst")
