@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import ParseError, as_int
 
 Literal = tuple[int, bool]  # (0-based variable index, is-positive)
 
@@ -26,26 +26,25 @@ class CnfFormula:
         if self.variable_count < 1:
             raise ValueError("formula needs at least one variable")
         clauses = tuple(
-            tuple((int(v), bool(p)) for v, p in clause) for clause in self.clauses
+            tuple((as_int(v, "clause {} variable", idx), p) for v, p in clause)
+            for idx, clause in enumerate(self.clauses, start=1)
         )
         object.__setattr__(self, "clauses", clauses)
-        seen_positive = set()
-        seen_negative = set()
         for idx, clause in enumerate(clauses, start=1):
             if len(clause) != 3:
                 raise ValueError(f"clause {idx} has {len(clause)} literals, expected 3")
-            variables = [v for v, _ in clause]
-            if len(set(variables)) != 3:
+            if len({v for v, _ in clause}) != 3:
                 raise ValueError(f"clause {idx} repeats a variable")
             for v, positive in clause:
+                if type(positive) is not bool:
+                    raise ValueError(f"clause {idx} polarity is not a bool: {positive!r}")
                 if not 0 <= v < self.variable_count:
                     raise ValueError(f"clause {idx} uses variable {v + 1}, out of range")
-                (seen_positive if positive else seen_negative).add(v)
+        seen = {literal for clause in clauses for literal in clause}
         for v in range(self.variable_count):
-            if v not in seen_positive:
-                raise ValueError(f"variable {v + 1} never appears positively")
-            if v not in seen_negative:
-                raise ValueError(f"variable {v + 1} never appears negatively")
+            for positive, how in ((True, "positively"), (False, "negatively")):
+                if (v, positive) not in seen:
+                    raise ValueError(f"variable {v + 1} never appears {how}")
 
     @property
     def clause_count(self) -> int:
@@ -95,9 +94,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError(f"non-integer literal {token!r}", lineno) from None
             if lit == 0:
                 if len(pending) != 3:
-                    raise ParseError(
-                        f"clause has {len(pending)} literals, expected 3", lineno
-                    )
+                    raise ParseError(f"clause has {len(pending)} literals, expected 3", lineno)
                 clauses.append(tuple((abs(v) - 1, v > 0) for v in pending))
                 pending = []
                 continue
@@ -109,9 +106,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     if pending:
         raise ParseError("unterminated clause at end of input")
     if len(clauses) != header[1]:
-        raise ParseError(
-            f"header declares {header[1]} clauses, found {len(clauses)}"
-        )
+        raise ParseError(f"header declares {header[1]} clauses, found {len(clauses)}")
     try:
         return CnfFormula(header[0], tuple(clauses))
     except ValueError as exc:
@@ -119,13 +114,9 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def format_dimacs(f: CnfFormula) -> str:
-    lines = [f"p cnf {f.variable_count} {f.clause_count}"]
-    for clause in f.clauses:
-        lines.append(
-            " ".join(str(v + 1 if positive else -(v + 1)) for v, positive in clause)
-            + " 0"
-        )
-    return "\n".join(lines) + "\n"
+    literals = tuple(v + 1 if p else -v - 1 for clause in f.clauses for v, p in clause)
+    body = "%d %d %d 0\n" * f.clause_count % literals
+    return f"p cnf {f.variable_count} {f.clause_count}\n{body}"
 
 
 def parse_assignment(text: str, variable_count: int) -> tuple[bool, ...]:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from operator import index
+
 
 class ParseError(ValueError):
     """Malformed input file.
@@ -26,6 +28,14 @@ def check_count(name: str, value: int, least: int) -> None:
     """Raise ValueError unless the count `name` is at least `least`."""
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def as_int(value, what: str, *where) -> int:
+    """`operator.index(value)`, or a ValueError naming `what.format(*where)`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what.format(*where)} is not an integer: {value!r}") from None
 
 
 class ScaleLimitError(Exception):

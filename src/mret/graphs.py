@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
-from .errors import ParseError, ScaleLimitError
+from .errors import ParseError, ScaleLimitError, as_int
 
 # nodes + edges of the largest instance built or generated: at the limit
 # `reduce` takes about 2.5 s and 0.6 GB; `certify` rebuilds the instance once
@@ -61,7 +61,8 @@ class Digraph:
         # a tuple of exact-int pairs is kept as it is; anything else is rebuilt
         if not (type(edges) is tuple and _exact(edges, tuple) and set(map(len, edges)) <= {2}
                 and _exact(chain.from_iterable(edges), int)):
-            edges = tuple((int(a), int(b)) for a, b in edges)
+            edges = tuple((as_int(a, "edge {} endpoint", i), as_int(b, "edge {} endpoint", i))
+                          for i, (a, b) in enumerate(edges))
             object.__setattr__(self, "edges", edges)
         if edges and (min(chain.from_iterable(edges)) < 0 or max(chain.from_iterable(edges)) >= n):
             for i, (a, b) in enumerate(edges):
@@ -102,7 +103,7 @@ class Temporalisation:
     def __post_init__(self):
         times = self.times
         if not (type(times) is tuple and _exact(times, int)):
-            times = tuple(int(t) for t in times)
+            times = tuple(as_int(t, "time label of edge {}", i) for i, t in enumerate(times))
             object.__setattr__(self, "times", times)
         if times and min(times) < 1:
             for i, t in enumerate(times):
@@ -124,7 +125,7 @@ class Schedule:
     def __post_init__(self):
         order = self.order
         if not (type(order) is tuple and _exact(order, int)):
-            order = tuple(int(i) for i in order)
+            order = tuple(as_int(e, "order entry {}", i) for i, e in enumerate(order))
             object.__setattr__(self, "order", order)
         # m distinct integers in 0..m-1 are exactly a permutation of them
         if order and (min(order) != 0 or max(order) != len(order) - 1
@@ -247,9 +248,8 @@ def header_counts(text: str) -> tuple[int, int] | None:
 
 
 def format_digraph(g: Digraph) -> str:
-    lines = [f"{g.node_count} {g.edge_count}"]
-    lines.extend(f"{a} {b}" for a, b in g.edges)
-    return "\n".join(lines) + "\n"
+    body = "%d %d\n" * g.edge_count % tuple(chain.from_iterable(g.edges))
+    return f"{g.node_count} {g.edge_count}\n{body}"
 
 
 def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:
@@ -260,9 +260,8 @@ def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:
 def format_temporal_graph(g: Digraph, t: Temporalisation) -> str:
     if len(t.times) != g.edge_count:
         raise ValueError("temporalisation length does not match edge count")
-    lines = [f"{g.node_count} {g.edge_count}"]
-    lines.extend(f"{a} {b} {lab}" for (a, b), lab in zip(g.edges, t.times))
-    return "\n".join(lines) + "\n"
+    rows = chain.from_iterable((a, b, lab) for (a, b), lab in zip(g.edges, t.times))
+    return f"{g.node_count} {g.edge_count}\n" + "%d %d %d\n" * g.edge_count % tuple(rows)
 
 
 def parse_roles(text: str) -> tuple[str, ...]:
@@ -278,7 +277,7 @@ def parse_roles(text: str) -> tuple[str, ...]:
 
 
 def format_roles(roles: tuple[str, ...]) -> str:
-    return "".join(f"{i} {role}\n" for i, role in enumerate(roles))
+    return "%d %s\n" * len(roles) % tuple(chain.from_iterable(enumerate(roles)))
 
 
 def prefix_path(prefix: str | Path, suffix: str) -> Path:

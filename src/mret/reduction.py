@@ -28,7 +28,8 @@ itself.  The instance at K = M = 1 is then exactly the class graph, its
 constructive order is the class-level order, and `constructive_total`
 computes the total at any K and M from it: one pass over a few hundred
 class edges instead of n^2 reach bits.  A given schedule need not fire
-the groups as blocks, so `certify` runs the engine on it.
+the groups as blocks, so `certify` runs the engine on it.  The instance
+manifest names the formula, so `load_instance` rebuilds from it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, format_dimacs, parse_dimacs
 from .errors import ParseError, parse_file
 from .graphs import (
     Digraph,
@@ -352,45 +353,28 @@ _write = partial(Path.write_text, encoding="utf-8")
 
 
 def write_instance(inst: ReductionInstance, prefix: str | Path, write=_write) -> list[Path]:
-    """Write <prefix>.digraph, <prefix>.roles, <prefix>.manifest.json
-    through `write(path, text)`."""
+    """Write <prefix>.digraph, <prefix>.roles and <prefix>.manifest.json, which
+    adds the DIMACS formula to `instance_manifest`, through `write(path, text)`."""
     graph_path, roles_path, manifest_path = paths = instance_paths(prefix)
     write(graph_path, format_digraph(inst.digraph))
     write(roles_path, format_roles(inst.roles))
-    write(manifest_path, json.dumps(instance_manifest(inst), indent=2) + "\n")
+    manifest = {**instance_manifest(inst), "formula": format_dimacs(inst.formula)}
+    write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return paths
 
 
-def _recover_formula(params: ReductionParams, heads, graph_path: Path) -> CnfFormula:
-    """The formula whose clause entries, edges 4n, 4n + 2, ..., 4n + 6m - 2
-    of `build_instance`, have these heads: an entry into t^1 (gadget id 0)
-    is a positive literal, into f^1 (id 2) a negative one."""
-    literal = {ids[k]: (v, k == 0) for v, ids in enumerate(_layout(params)[3]) for k in (0, 2)}
-    entries = [literal.get(b) for b in heads]
-    if None in entries:
-        raise ParseError(f"{graph_path} does not match its manifest parameters")
-    try:
-        return CnfFormula(params.n, tuple(tuple(entries[i : i + 3]) for i in range(0, len(entries), 3)))
-    except ValueError as exc:
-        raise ParseError(f"instance files do not encode a valid formula: {exc}") from None
-
-
 def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> ReductionInstance:
-    """Rebuild an instance from its files and verify their consistency.
+    """Rebuild an instance once from its manifest and check its files.
 
-    `read(path)` gives the text of each file; all three are read first, in
-    `instance_paths` order.  Before anything is parsed or rebuilt, a
-    digraph whose header line contradicts the manifest is refused, then
-    with ScaleLimitError an instance too large to evaluate (only with
-    `evaluate`: `check_reach_budget`) or to rebuild (`check_instance_size`).
-    A digraph of exactly m + 1 lines under a matching header is proved by
-    its text: the formula is read from its clause-entry lines, the
-    instance is rebuilt, and the digraph and roles files are accepted
-    unparsed where their text is the rebuild's canonical text.  Any other
-    file is parsed: the digraph's counts must match the manifest before
-    anything is rebuilt, the formula is recovered from its clause-entry
-    edges, and the parsed graph and roles must equal the rebuild, as must
-    the manifest.
+    `read(path)` gives each file's text; all three are read first, in
+    `instance_paths` order.  Refused in this order: a manifest without the
+    DIMACS text of a strict 3-CNF of its n variables and m clauses; a
+    digraph header that contradicts it; with ScaleLimitError an instance
+    too large to evaluate (only with `evaluate`: `check_reach_budget`) or
+    to rebuild (`check_instance_size`); a digraph of other than m + 1
+    lines whose parsed counts differ, before the rebuild; digraph and
+    roles files whose text is neither the rebuild's canonical text nor
+    parses to it; a manifest that is not the rebuild's.
     """
     graph_path, roles_path, manifest_path = instance_paths(prefix)
     # str() only names decode errors
@@ -399,7 +383,12 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     try:
         manifest = json.loads(read(manifest_path))
         params = ReductionParams(*(int(manifest[k]) for k in ("n", "m", "K", "M")))
-    except (KeyError, TypeError, ValueError) as exc:  # incl. json and decode errors
+        if not isinstance(dimacs := manifest["formula"], str):
+            raise TypeError(f"formula is not DIMACS text: {dimacs!r}")
+        formula = parse_dimacs(dimacs)
+        if (formula.variable_count, formula.clause_count) != (params.n, params.m):
+            raise ValueError(f"formula is not of {params.n} variables and {params.m} clauses")
+    except (KeyError, TypeError, ValueError) as exc:  # incl. json, decode and DIMACS errors
         raise ParseError(f"bad manifest {manifest_path}: {exc}") from None
     counts = params.node_count, params.edge_count
     header = header_counts(graph_text)
@@ -408,30 +397,19 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     if evaluate:
         check_reach_budget(params.node_count)
     check_instance_size("reduction", *counts)
-    rebuild = partial(build_instance, k_override=params.K, m_override=params.M)
-    entries = slice(4 * params.n, 4 * params.n + 6 * params.m, 2)
-    rebuilt = None
-    if header and graph_text.count("\n") == params.edge_count + 1 and graph_text.endswith("\n"):
-        lines = graph_text.split("\n", 1 + entries.stop)[1:]  # edge i is on lines[i]
-        try:
-            heads = [int(line.partition(" ")[2]) for line in lines[entries]]
-            formula = _recover_formula(params, heads, graph_path)
-        except ValueError:  # an entry line that does not parse leaves the file to the parser
-            pass
-        else:
-            rebuilt = rebuild(formula)
-    if rebuilt is None or graph_text != format_digraph(rebuilt.digraph):
-        g = parse_file(parse_digraph, lambda _: graph_text, graph_path)
+    parse_graph = partial(parse_file, parse_digraph, lambda _: graph_text, graph_path)
+    g = None  # the parsed digraph, once parsed
+    if not (header and graph_text.endswith("\n")
+            and graph_text.count("\n") == params.edge_count + 1):
+        g = parse_graph()
         if (g.node_count, g.edge_count) != counts:
             raise ParseError(f"{graph_path} does not match its manifest parameters")
-        formula = _recover_formula(params, [b for _, b in g.edges[entries]], graph_path)
-        if rebuilt is None or rebuilt.formula != formula:
-            rebuilt = rebuild(formula)
-        if rebuilt.digraph != g:
-            raise ParseError(f"{graph_path} does not match its manifest parameters")
+    rebuilt = build_instance(formula, k_override=params.K, m_override=params.M)
+    if graph_text != format_digraph(rebuilt.digraph) and (g or parse_graph()) != rebuilt.digraph:
+        raise ParseError(f"{graph_path} does not match its manifest parameters")
     if (roles_text != format_roles(rebuilt.roles)
             and parse_file(parse_roles, lambda _: roles_text, roles_path) != rebuilt.roles):
         raise ParseError(f"{roles_path} does not match the rebuilt layout")
-    if manifest != instance_manifest(rebuilt):
+    if manifest != {**instance_manifest(rebuilt), "formula": dimacs}:
         raise ParseError(f"{manifest_path} does not match the rebuilt instance")
     return rebuilt

@@ -1,4 +1,4 @@
-"""Hand-built reduction inputs shared by the reduction and CLI tests."""
+"""Hand-built inputs shared by the tests: reduction instances and value-type inputs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 import random
 
 from mret import reduction
-from mret.cnf import CnfFormula
+from mret.cnf import CnfFormula, format_dimacs
 from mret.reduction import ReductionParams
 
 # (x1 or x2 or x3) and (not x1 or x2 or x3) and (not x1 or not x2 or not x3)
@@ -15,6 +15,16 @@ EXAMPLE = CnfFormula(3, (
     ((0, False), (1, True), (2, True)),
     ((0, False), (1, False), (2, False)),
 ))
+
+
+class Index:
+    """An integer that is not an int: it converts only through `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def planted_formula(seed: int, n: int, m: int) -> tuple[CnfFormula, tuple[bool, ...]]:
@@ -44,7 +54,8 @@ def oversized_instance_texts() -> tuple[str, str, str]:
     ]
     nodes = ReductionParams(3, 3, K, M).node_count
     graph = f"{nodes} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges)
-    return graph, "", json.dumps({"n": 3, "m": 3, "K": K, "M": M})
+    manifest = {"n": 3, "m": 3, "K": K, "M": M, "formula": format_dimacs(EXAMPLE)}
+    return graph, "", json.dumps(manifest)
 
 
 def refuse_to_build(*args, **kwargs):

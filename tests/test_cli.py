@@ -278,6 +278,17 @@ def test_writes_into_an_unwritable_directory_write_nothing(
     assert list(Path("locked").iterdir()) == []
 
 
+def test_writes_into_a_missing_directory_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(EXAMPLE_CNF)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(["reduce", "f.cnf", "--k", "2", "--m-param", "5",
+                              "--out", "nodir/inst"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 2] No such file or directory: 'nodir/inst.digraph'\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_reduce_writes_instance(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(EXAMPLE_CNF)
@@ -720,6 +731,16 @@ def test_text_format(two_cycle, tmp_path, capsys):
     lines = out.splitlines()
     assert "total: 4" in lines
     assert any(line.startswith("run: command=eval") for line in lines)
+    # a list value is one line of its items
+    code, out, _ = run_cli(["--format", "text", "eval", two_cycle, str(sched), "--counts"],
+                           capsys)
+    assert code == 0 and "per_source_counts: 2 2" in out.splitlines()
+    out_path = tmp_path / "back.digraph"
+    code, out, _ = run_cli(["--format", "text", "gen", "fig3", "--k", "1",
+                            "--out", str(out_path)], capsys)
+    lines = out.splitlines()
+    assert code == 0 and f"run: output {out_path}" in lines
+    assert f"run: output {out_path}.roles" in lines
 
 
 def test_threads_flag_rejected(two_cycle, tmp_path, capsys):

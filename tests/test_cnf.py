@@ -1,6 +1,10 @@
 """DIMACS parsing and 3-CNF validation."""
 
+import re
+
 import pytest
+
+from instances import Index
 
 from mret.cnf import CnfFormula, format_dimacs, parse_assignment, parse_dimacs
 from mret.errors import ParseError
@@ -68,6 +72,8 @@ def test_header_errors():
         parse_dimacs("p cnf three 1\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_dimacs("p dnf 3 1\n")
+    with pytest.raises(ParseError, match="^line 1: bad counts in header 'p cnf 0 1'$"):
+        parse_dimacs("p cnf 0 1\n")
 
 
 def test_literal_errors():
@@ -91,6 +97,36 @@ def test_formula_invariants_direct():
         CnfFormula(2, (((0, True), (1, True), (2, True)),))
     with pytest.raises(ValueError, match="at least one variable"):
         CnfFormula(0, ())
+    with pytest.raises(ValueError, match="^clause 1 has 2 literals, expected 3$"):
+        CnfFormula(2, (((0, True), (1, False)),))
+
+
+CLAUSES = (((0, True), (1, True), (2, True)), ((0, False), (1, False), (2, False)))
+
+
+@pytest.mark.parametrize("bad", [0.9, 0.0, "0", None],
+                         ids=["float", "integral float", "str", "None"])
+def test_formula_refuses_a_variable_that_is_not_an_integer(bad):
+    # int() would truncate 0.9 to variable 0
+    clauses = (CLAUSES[0], ((0, False), (bad, False), (2, False)))
+    message = re.escape(f"clause 2 variable is not an integer: {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        CnfFormula(3, clauses)
+
+
+@pytest.mark.parametrize("bad", [1, 0, "no", "", None, 1.0])
+def test_formula_refuses_a_polarity_that_is_not_a_bool(bad):
+    # bool() would read "no" as true and "" as false
+    clauses = (CLAUSES[0], ((0, False), (1, bad), (2, False)))
+    with pytest.raises(ValueError, match=re.escape(f"clause 2 polarity is not a bool: {bad!r}")):
+        CnfFormula(3, clauses)
+
+
+def test_formula_accepts_index_objects_and_bool_variables():
+    clauses = (((Index(0), True), (True, True), (2, True)), CLAUSES[1])
+    f = CnfFormula(3, clauses)
+    assert f.clauses == CLAUSES
+    assert {type(v) for clause in f.clauses for v, _ in clause} == {int}
 
 
 def test_parse_assignment():

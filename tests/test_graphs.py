@@ -1,6 +1,9 @@
 import gc
+import re
 
 import pytest
+
+from instances import Index
 
 from mret.errors import ParseError
 from mret.graphs import (
@@ -86,14 +89,39 @@ def test_digraph_permits_self_loops_and_parallel_edges():
 def test_digraph_rejects_bad_endpoint_at_construction():
     with pytest.raises(ValueError, match="out of range"):
         Digraph(2, ((0, 5),))
+    with pytest.raises(ValueError, match="^node_count must be non-negative$"):
+        Digraph(-1, ())
 
 
 def test_digraph_keeps_exact_int_pairs_and_rebuilds_the_rest():
     edges = ((0, 1), (1, 0))
     assert Digraph(2, edges).edges is edges
-    for given in ([(0, 1), (1, 0)], ((0, 1), [1, 0]), ((False, True), (1, 0)), ((0.0, 1), (1, 0))):
+    for given in ([(0, 1), (1, 0)], ((0, 1), [1, 0]), ((False, True), (1, 0)), ((Index(0), 1), (1, 0))):
         rebuilt = Digraph(2, given).edges
         assert rebuilt == edges and {type(v) for e in rebuilt for v in e} == {int}
+
+
+@pytest.mark.parametrize("bad", [1.7, 0.0, "0", None],
+                         ids=["float", "integral float", "str", "None"])
+def test_value_types_refuse_what_is_not_an_integer(bad):
+    # int() would truncate a float and parse a string; the value types refuse both
+    tail = re.escape(f" is not an integer: {bad!r}") + "$"
+    with pytest.raises(ValueError, match="^edge 1 endpoint" + tail):
+        Digraph(3, ((0, 1), (2, bad)))
+    with pytest.raises(ValueError, match="^edge 0 endpoint" + tail):
+        Digraph(3, ((bad, 2),))
+    with pytest.raises(ValueError, match="^time label of edge 1" + tail):
+        Temporalisation((2, bad))
+    with pytest.raises(ValueError, match="^order entry 0" + tail):
+        Schedule((bad, 0))
+
+
+def test_value_types_accept_bools_and_index_objects_as_ints():
+    edges = Digraph(2, ((Index(0), True), (True, False))).edges
+    times = Temporalisation((Index(2), True)).times
+    order = Schedule((Index(1), False)).order
+    assert (edges, times, order) == (((0, 1), (1, 0)), (2, 1), (1, 0))
+    assert {type(v) for v in (*edges[0], *edges[1], *times, *order)} == {int}
 
 
 def test_value_types_name_the_first_bad_value():
@@ -123,6 +151,8 @@ def test_temporal_graph_roundtrip():
     g, t = parse_temporal_graph(text)
     assert t.times == (5, 5)
     assert format_temporal_graph(g, t) == text
+    with pytest.raises(ValueError, match="^temporalisation length does not match edge count$"):
+        format_temporal_graph(g, Temporalisation((5,)))
 
 
 def test_temporal_graph_rejects_zero_label():

@@ -13,12 +13,13 @@ solvers are compared, since they refuse self-loops.
 """
 
 import dataclasses
+import json
 import tempfile
 from itertools import permutations
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -39,7 +40,7 @@ from oracle import (
 
 from mret import astra, reduction
 from mret.astra import check_pair, exact_pair, greedy_pair, sweep_blocks
-from mret.cnf import CnfFormula
+from mret.cnf import CnfFormula, format_dimacs
 from mret.errors import ParseError
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import (
@@ -672,6 +673,41 @@ def test_tampered_instance_files_fail_as_the_parse_path_does(data, formula, K, M
     # no text equals None, so every file goes through the parser
     with mock.patch.multiple(reduction, format_digraph=lambda g: None, format_roles=lambda r: None):
         assert got == outcome(load_instance, "inst", texts.__getitem__)
+
+
+@st.composite
+def relabelled(draw, f):
+    """`f` with its clauses, the literals of each clause and its variables
+    permuted, and some variables' polarities flipped: a strict 3-CNF of
+    the same size, often a different one."""
+    n = f.variable_count
+    names = draw(st.permutations(range(n)))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    clauses = [draw(st.permutations(clause)) for clause in draw(st.permutations(f.clauses))]
+    return CnfFormula(n, tuple(tuple((names[v], p != flips[v]) for v, p in c) for c in clauses))
+
+
+@check
+@given(st.data(), strict_3cnfs(max_vars=4, max_clauses=4), st.integers(1, 2), st.integers(1, 3))
+def test_a_manifest_naming_another_formula_is_refused_after_one_rebuild(data, formula, K, M):
+    # the files of `formula`, whose manifest names another formula of the same size
+    n, m = formula.variable_count, formula.clause_count
+    other = data.draw(st.one_of(relabelled(formula), strict_3cnfs(max_vars=n, max_clauses=m)))
+    assume((other.variable_count, other.clause_count) == (n, m) and other != formula)
+    texts, _ = instance_files(build_instance(formula, k_override=K, m_override=M))
+    manifest_path = instance_paths("inst")[2]
+    manifest = json.loads(texts[manifest_path])
+    texts[manifest_path] = json.dumps({**manifest, "formula": format_dimacs(other)})
+    builds = []
+
+    def recorded(*args, **kwargs):
+        builds.append((args, kwargs))
+        return build_instance(*args, **kwargs)
+
+    with mock.patch.object(reduction, "build_instance", recorded):
+        got = outcome(load_instance, "inst", texts.__getitem__)
+    assert got == ("error", "inst.digraph does not match its manifest parameters")
+    assert builds == [((other,), {"k_override": K, "m_override": M})]
 
 
 def timing_kind(timing):

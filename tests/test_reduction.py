@@ -7,10 +7,16 @@ from itertools import permutations, product
 
 import pytest
 
-from instances import EXAMPLE, oversized_instance_texts, planted_formula, refuse_to_build
+from instances import (
+    EXAMPLE,
+    oversized_instance_texts,
+    planted_formula,
+    refuse_to_build,
+    refuse_to_parse,
+)
 from oracle import brute_force_satisfying_assignments
 
-from mret import graphs, reduction
+from mret import graphs, reachability, reduction
 from mret.cnf import CnfFormula
 from mret.errors import ParseError, ScaleLimitError
 from mret.graphs import (
@@ -458,6 +464,7 @@ def test_write_load_round_trip(tmp_path):
     assert manifest["node_count"] == 39 and manifest["edge_count"] == 72
     assert manifest["L"] == "546"  # bounds travel as decimal strings
     assert isinstance(manifest["U1"], str) and isinstance(manifest["U2"], str)
+    assert manifest["formula"] == "p cnf 3 3\n1 2 3 0\n-1 2 3 0\n-1 -2 -3 0\n"
 
 
 def test_load_rejects_tampered_graph(tmp_path):
@@ -534,3 +541,52 @@ def test_load_refuses_missing_edge_lines_without_rebuilding(tmp_path, monkeypatc
     graph_name = re.escape(str(graph_file))
     with pytest.raises(ParseError, match=f"^{graph_name}: line 1: expected 72 edge lines, found 70$"):
         load_instance(tmp_path / "inst")
+
+
+def test_load_refuses_a_contradicting_header_behind_a_comment_without_rebuilding(
+    tmp_path, monkeypatch
+):
+    # the header line is a comment, so only the parse finds the real header
+    write_instance(build_instance(EXAMPLE, k_override=2, m_override=5), tmp_path / "inst")
+    graph_file = tmp_path / "inst.digraph"
+    graph_file.write_text("# hardness instance\n3 1\n0 1\n")
+    monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
+    graph_name = re.escape(str(graph_file))
+    with pytest.raises(ParseError, match=f"^{graph_name} does not match its manifest parameters$"):
+        load_instance(tmp_path / "inst")
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("formula, reason", [
+    (MISSING, "'formula'"),
+    (5, "formula is not DIMACS text: 5"),
+    (["p cnf 3 3"], "formula is not DIMACS text: ['p cnf 3 3']"),
+    ("p cnf 3 3\n1 2 0\n", "line 2: clause has 2 literals, expected 3"),
+    ("1 2 3 0\n", "line 1: clause before 'p cnf' header"),
+    ("p cnf 3 1\n1 2 3 0\n", "variable 1 never appears negatively"),
+    ("p cnf 4 3\n1 2 4 0\n-1 3 -4 0\n-2 -3 4 0\n", "formula is not of 3 variables and 3 clauses"),
+    ("p cnf 3 4\n1 2 3 0\n-1 2 3 0\n-1 -2 -3 0\n1 2 3 0\n",
+     "formula is not of 3 variables and 3 clauses"),
+], ids=["missing", "number", "list", "dimacs error", "no header", "not strict", "variables",
+        "clauses"])
+def test_load_refuses_a_manifest_without_a_usable_formula(tmp_path, monkeypatch, formula, reason):
+    # refused before the header, budget and size checks: nothing is parsed or rebuilt
+    write_instance(build_instance(EXAMPLE, k_override=2, m_override=5), tmp_path / "inst")
+    path = tmp_path / "inst.manifest.json"
+    manifest = json.loads(path.read_text())
+    if formula is MISSING:
+        del manifest["formula"]
+    else:
+        manifest["formula"] = formula
+    path.write_text(json.dumps(manifest))
+    (tmp_path / "inst.digraph").write_text("1 0\n")  # contradicts the manifest
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 0)
+    monkeypatch.setattr(graphs, "INSTANCE_SIZE_LIMIT", 1)
+    monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
+    monkeypatch.setattr(reduction, "parse_digraph", refuse_to_parse)
+    monkeypatch.setattr(reduction, "parse_roles", refuse_to_parse)
+    message = re.escape(f"bad manifest {path}: {reason}")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_instance(tmp_path / "inst", evaluate=True)
