@@ -33,7 +33,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import ScaleLimitError, check_count
+from .errors import ScaleLimitError, as_int
 from .graphs import Digraph, bfs_tree, is_strongly_connected
 
 GREEDY_RANDOM_ATTEMPTS = 6
@@ -227,7 +227,7 @@ def _root_search(
         orders = _attempt_orders(g, seed)
         bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
         return lambda root: _greedy_best(root, orders, bounds)
-    check_count("limit", limit, 0)
+    limit = as_int(limit, "limit", least=0)
     if g.edge_count > limit:
         raise ScaleLimitError(f"exact pair search infeasible at this scale: "
                               f"{g.edge_count} edges exceed the limit of {limit}")
@@ -241,12 +241,13 @@ def sweep_blocks(
 ) -> list:
     """`summarize` of the `method` pairs of each contiguous block of `roots`, in root order.
 
-    First, once for the whole sweep and in the calling process, it checks
-    the method, the greedy work (roots * (nodes + edges)), every root,
-    that the graph has nodes and is strongly connected, and the exact
-    edge `limit`; scale limits raise ScaleLimitError, the rest ValueError,
-    and an exact sweep raises ScaleLimitError too as soon as its visited
-    out-trees * (nodes + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy
+    First, once for the whole sweep and in the calling process, it takes
+    every root through `as_int`, then checks the method, the greedy work
+    (roots * (nodes + edges)), every root's range, that the graph has
+    nodes and is strongly connected, and the exact edge `limit`; scale
+    limits raise ScaleLimitError, the rest ValueError, and an exact sweep
+    raises ScaleLimitError too as soon as its visited out-trees * (nodes
+    + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy
     sweep of two or more roots and FORK_WORK_THRESHOLD units of work or
     more is then split in halves when `_may_fork` allows, and a forked
     child sweeps the second half and sends back only its summary, written
@@ -254,7 +255,7 @@ def sweep_blocks(
     lists of them.  Otherwise the roots are one block, swept in the caller.
     Merged in order, the blocks give the same result either way.
     """
-    roots = list(roots)
+    roots = [as_int(root, "root") for root in roots]
     search = _root_search(g, roots, method, seed, limit)
     if (method == "greedy" and len(roots) > 1
             and len(roots) * (g.node_count + g.edge_count) >= FORK_WORK_THRESHOLD
@@ -365,7 +366,7 @@ def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
     keeps the attempt with the largest min-size (ties by larger total
     span, then first found).  Deterministic for a given seed.
     """
-    return _root_search(g, [root], "greedy", seed, 0)(root)
+    return sweep_blocks(g, [root], next, "greedy", seed)[0]
 
 
 def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
@@ -383,7 +384,7 @@ def exact_pair(g: Digraph, root: int, limit: int = 20) -> ArborescencePair:
     span, then lexicographically smaller edge sets.  Past
     EXACT_PAIR_WORK_LIMIT units of work it raises ScaleLimitError.
     """
-    return _root_search(g, [root], "exact", 0, limit)(root)
+    return sweep_blocks(g, [root], next, "exact", limit=limit)[0]
 
 
 def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePair:

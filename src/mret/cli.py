@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .astra import best_root, exact_pair, greedy_pair
 from .cnf import parse_assignment, parse_dimacs
-from .errors import ParseError, ScaleLimitError, check_count, parse_file
+from .errors import ParseError, ScaleLimitError, as_int, parse_file
 from .generators import gen_fig3, gen_random_sc
 from .graphs import (
     Schedule,
@@ -146,11 +146,13 @@ def cmd_eval(args, run: _Run) -> dict:
 
 def cmd_solve(args, run: _Run) -> dict:
     # every count is checked, also those the chosen method does not use
-    check_count("limit", args.limit, 0)
-    check_count("restarts", args.restarts, 1)
+    as_int(args.limit, "limit", least=0)
+    as_int(args.restarts, "restarts", least=1)
     if args.steps is not None:
-        check_count("steps", args.steps, 0)
+        as_int(args.steps, "steps", least=0)
     g = parse_file(parse_digraph, run.read, args.graph)
+    if args.method != "arb" and args.root is not None and not 0 <= args.root < g.node_count:
+        raise ValueError(f"root {args.root} out of range for {g.node_count} nodes")
     if args.method == "exact":
         res = solve_exact(g, limit=args.limit)
     elif args.method == "local":
@@ -211,7 +213,7 @@ def cmd_bounds(args, run: _Run) -> dict:
 
 
 def cmd_astra(args, run: _Run) -> dict:
-    check_count("limit", args.limit, 0)  # the greedy method does not use it
+    as_int(args.limit, "limit", least=0)  # the greedy method does not use it
     g = parse_file(parse_digraph, run.read, args.graph)
     if args.root is None:
         return best_root(g, args.method, seed=args.seed, limit=args.limit).to_json()

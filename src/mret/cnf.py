@@ -23,8 +23,8 @@ class CnfFormula:
     clauses: tuple[tuple[Literal, Literal, Literal], ...]
 
     def __post_init__(self):
-        if self.variable_count < 1:
-            raise ValueError("formula needs at least one variable")
+        object.__setattr__(self, "variable_count",
+                           as_int(self.variable_count, "variable_count", least=1))
         clauses = tuple(
             tuple((as_int(v, "clause {} variable", idx), p) for v, p in clause)
             for idx, clause in enumerate(self.clauses, start=1)

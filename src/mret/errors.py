@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and boundary helpers (`parse_file`, `as_int`) shared across the package."""
 
 from operator import index
 
@@ -24,18 +24,16 @@ def parse_file(parse, read, path, *args):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def check_count(name: str, value: int, least: int) -> None:
-    """Raise ValueError unless the count `name` is at least `least`."""
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
-def as_int(value, what: str, *where) -> int:
-    """`operator.index(value)`, or a ValueError naming `what.format(*where)`."""
+def as_int(value, what: str, *where, least: int | None = None) -> int:
+    """`operator.index(value)`, or a ValueError naming `what.format(*where)`,
+    also when `least` is given and the integer is below it."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{what.format(*where)} is not an integer: {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what.format(*where)} must be at least {least}, got {value}")
+    return value
 
 
 class ScaleLimitError(Exception):

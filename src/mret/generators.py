@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import as_int
 from .graphs import Digraph, check_instance_size
 
 
@@ -23,8 +24,7 @@ def gen_fig3(k: int) -> tuple[Digraph, tuple[str, ...]]:
     arms funnels through the single edge (x, y), which is what limits
     disjoint arborescence pairs.  Roles use the names above.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = as_int(k, "k", least=1)
     check_instance_size("fig3 generation", 3 * k + 8, 3 * k + 13)
     x, y = 0, 1
 
@@ -64,8 +64,7 @@ def gen_random_sc(n: int, extra_edges: int, seed: int = 0) -> Digraph:
     in (u, v) order, so the pairs are never listed.  Deterministic for a
     given (n, extra_edges, seed).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n, extra_edges = as_int(n, "n", least=2), as_int(extra_edges, "extra_edges")
     slots = n * (n - 1) - n
     if not 0 <= extra_edges <= slots:
         raise ValueError(f"extra_edges must be in [0, {slots}] for n={n}")

@@ -54,9 +54,8 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.node_count
-        if n < 0:
-            raise ValueError("node_count must be non-negative")
+        n = as_int(self.node_count, "node_count", least=0)
+        object.__setattr__(self, "node_count", n)
         edges = self.edges
         # a tuple of exact-int pairs is kept as it is; anything else is rebuilt
         if not (type(edges) is tuple and _exact(edges, tuple) and set(map(len, edges)) <= {2}

@@ -35,14 +35,14 @@ manifest names the formula, so `load_instance` rebuilds from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .cnf import CnfFormula, format_dimacs, parse_dimacs
-from .errors import ParseError, parse_file
+from .errors import ParseError, as_int, parse_file
 from .graphs import (
     Digraph,
     Schedule,
@@ -66,8 +66,7 @@ class ReductionParams:
 
     def __post_init__(self):
         for name in ("n", "m", "K", "M"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, as_int(getattr(self, name), name, least=1))
 
     @property
     def h_size(self) -> int:
@@ -83,11 +82,9 @@ class ReductionParams:
     ) -> "ReductionParams":
         """Official sizes K = 91nm and M = (H_size+5)^2 + 1 for n variables
         and m clauses, except where K or M is given."""
-        if K is None:
-            K = 91 * n * m
-        if M is None:
-            M = (cls(n, m, K, 1).h_size + 5) ** 2 + 1
-        return cls(n, m, K, M)
+        p = cls(n, m, 1, 1)
+        p = replace(p, K=91 * p.n * p.m if K is None else K)
+        return replace(p, M=(p.h_size + 5) ** 2 + 1 if M is None else M)
 
     @property
     def node_count(self) -> int:
@@ -280,6 +277,7 @@ def constructive_total(
     count of reach[C], plus itself unless C's virtual bit is in it.
     Raises ValueError if the assignment does not satisfy `f`.
     """
+    p = ReductionParams(f.variable_count, f.clause_count, K, M)
     classes = build_instance(f, k_override=1, m_override=1)
     order = schedule_from_assignment(classes, assignment).order
     _, _, (b,), _, clauses = _layout(classes.params)
@@ -303,9 +301,9 @@ def constructive_total(
     def member_count(v: int) -> int:
         r = reach[v]
         own = v in virtual and not r >> virtual[v] & 1
-        return (r & singles).bit_count() + M * (r >> n & 1) + K * (r >> n + 1).bit_count() + own
+        return (r & singles).bit_count() + p.M * (r >> n & 1) + p.K * (r >> n + 1).bit_count() + own
 
-    weight = dict.fromkeys(twins, K) | {b: M}
+    weight = dict.fromkeys(twins, p.K) | {b: p.M}
     return sum(weight.get(v, 1) * member_count(v) for v in range(n))
 
 
@@ -382,7 +380,7 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     roles_text = parse_file(str, read, roles_path)
     try:
         manifest = json.loads(read(manifest_path))
-        params = ReductionParams(*(int(manifest[k]) for k in ("n", "m", "K", "M")))
+        params = ReductionParams(*(manifest[k] for k in ("n", "m", "K", "M")))
         if not isinstance(dimacs := manifest["formula"], str):
             raise TypeError(f"formula is not DIMACS text: {dimacs!r}")
         formula = parse_dimacs(dimacs)

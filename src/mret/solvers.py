@@ -31,7 +31,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .astra import ArborescencePair, sweep_blocks
-from .errors import ScaleLimitError, check_count
+from .errors import ScaleLimitError, as_int
 from .graphs import Digraph, Schedule
 from .reachability import _propagate, initial_reach
 
@@ -121,7 +121,7 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
     """
     _reject_self_loops(g)
     m = g.edge_count
-    check_count("limit", limit, 0)
+    limit = as_int(limit, "limit", least=0)
     if m > limit:
         raise ScaleLimitError(f"exact search infeasible at this scale: {m} edges exceed "
                               f"the limit of {limit}")
@@ -175,9 +175,9 @@ def solve_local(
     ties going to the lexicographically smaller order.
     """
     _reject_self_loops(g)
-    check_count("restarts", restarts, 1)
+    restarts = as_int(restarts, "restarts", least=1)
     if steps is not None:
-        check_count("steps", steps, 0)
+        steps = as_int(steps, "steps", least=0)
     n, m, edges = g.node_count, g.edge_count, g.edges
     rng = random.Random(seed)
     best_total, best_order = -1, ()

@@ -141,6 +141,9 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
     add("refuse/solve-exact-restarts", ["solve", "cycle4.digraph", "--restarts", "0"])
     add("refuse/solve-exact-steps", ["solve", "cycle4.digraph", "--steps", "-1"])
     add("refuse/solve-arb-limit", ["solve", "cycle4.digraph", "--method", "arb", "--limit", "-5"])
+    for method, root in (("exact", "99"), ("local", "-1")):
+        add(f"refuse/solve-{method}-root-range",
+            ["solve", "cycle4.digraph", "--method", method, "--root", root])
     add("refuse/astra-greedy-limit",
         ["astra", "cycle4.digraph", "--method", "greedy", "--limit", "-5"])
     add("refuse/parse-digraph", ["astra", "bad.digraph"])

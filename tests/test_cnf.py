@@ -95,7 +95,7 @@ def test_format_round_trip():
 def test_formula_invariants_direct():
     with pytest.raises(ValueError, match="out of range"):
         CnfFormula(2, (((0, True), (1, True), (2, True)),))
-    with pytest.raises(ValueError, match="at least one variable"):
+    with pytest.raises(ValueError, match="variable_count must be at least 1, got 0"):
         CnfFormula(0, ())
     with pytest.raises(ValueError, match="^clause 1 has 2 literals, expected 3$"):
         CnfFormula(2, (((0, True), (1, False)),))

@@ -3,9 +3,12 @@ import re
 
 import pytest
 
-from instances import Index
+from instances import EXAMPLE, Index
 
+from mret.astra import best_root, exact_pair, greedy_pair
+from mret.cnf import CnfFormula
 from mret.errors import ParseError
+from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import (
     Digraph,
     Schedule,
@@ -20,6 +23,8 @@ from mret.graphs import (
     parse_temporal_graph,
     parse_times,
 )
+from mret.reduction import ReductionParams, constructive_total
+from mret.solvers import solve_arborescence, solve_exact, solve_local
 
 
 def test_parse_two_cycle():
@@ -89,7 +94,7 @@ def test_digraph_permits_self_loops_and_parallel_edges():
 def test_digraph_rejects_bad_endpoint_at_construction():
     with pytest.raises(ValueError, match="out of range"):
         Digraph(2, ((0, 5),))
-    with pytest.raises(ValueError, match="^node_count must be non-negative$"):
+    with pytest.raises(ValueError, match="^node_count must be at least 0, got -1$"):
         Digraph(-1, ())
 
 
@@ -122,6 +127,54 @@ def test_value_types_accept_bools_and_index_objects_as_ints():
     order = Schedule((Index(1), False)).order
     assert (edges, times, order) == (((0, 1), (1, 0)), (2, 1), (1, 0))
     assert {type(v) for v in (*edges[0], *edges[1], *times, *order)} == {int}
+
+
+C4 = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+POINT = Digraph(1, ())
+SATISFYING = (False, True, False)  # of EXAMPLE
+
+# per integer parameter: its name, its least value (None: no lower bound), the
+# call with it set to x, and a value the call accepts; the call of a value
+# type returns the value as stored
+INTEGER_PARAMETERS = {
+    "Digraph node_count": ("node_count", 0, lambda x: Digraph(x, ()).node_count, 1),
+    "CnfFormula variable_count": ("variable_count", 1,
+                                  lambda x: CnfFormula(x, EXAMPLE.clauses).variable_count, 3),
+    "ReductionParams n": ("n", 1, lambda x: ReductionParams(x, 1, 1, 1).n, 1),
+    "ReductionParams m": ("m", 1, lambda x: ReductionParams(1, x, 1, 1).m, 1),
+    "ReductionParams K": ("K", 1, lambda x: ReductionParams(1, 1, x, 1).K, 1),
+    "ReductionParams M": ("M", 1, lambda x: ReductionParams(1, 1, 1, x).M, 1),
+    "official_for n": ("n", 1, lambda x: ReductionParams.official_for(x, 1).n, 1),
+    "constructive_total K": ("K", 1, lambda x: constructive_total(EXAMPLE, SATISFYING, x, 1), 1),
+    "constructive_total M": ("M", 1, lambda x: constructive_total(EXAMPLE, SATISFYING, 1, x), 1),
+    "solve_exact limit": ("limit", 0, lambda x: solve_exact(Digraph(2, ((0, 1),)), limit=x), 1),
+    "solve_local restarts": ("restarts", 1, lambda x: solve_local(C4, restarts=x), 1),
+    "solve_local steps": ("steps", 0, lambda x: solve_local(C4, steps=x), 1),
+    "solve_arborescence root": ("root", None, lambda x: solve_arborescence(C4, root=x), 1),
+    "greedy_pair root": ("root", None, lambda x: greedy_pair(C4, x).root, 1),
+    "exact_pair root": ("root", None, lambda x: exact_pair(C4, x).root, 1),
+    "exact_pair limit": ("limit", 0, lambda x: exact_pair(POINT, 0, limit=x), 1),
+    "best_root limit": ("limit", 0, lambda x: best_root(POINT, "exact", limit=x), 1),
+    "gen_fig3 k": ("k", 1, gen_fig3, 1),
+    "gen_random_sc n": ("n", 2, lambda x: gen_random_sc(x, 0), 5),
+    "gen_random_sc extra_edges": ("extra_edges", None, lambda x: gen_random_sc(5, x), 1),
+}
+NONE_ALLOWED = {"solve_local steps", "solve_arborescence root"}  # no step limit, every root
+
+
+@pytest.mark.parametrize("case", INTEGER_PARAMETERS)
+def test_integer_parameters_refuse_non_integers_and_values_below_least(case):
+    name, least, call, ok = INTEGER_PARAMETERS[case]
+    for bad in (ok + 0.5, float(ok), str(ok), *([] if case in NONE_ALLOWED else [None])):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer: {bad!r}") + "$"):
+            call(bad)
+    if least is not None:
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+            call(least - 1)
+    want = call(ok)
+    for given in (Index(ok), *([bool(ok)] if ok in (0, 1) else [])):
+        got = call(given)
+        assert got == want and type(got) is type(want)
 
 
 def test_value_types_name_the_first_bad_value():

@@ -559,27 +559,33 @@ def test_load_refuses_a_contradicting_header_behind_a_comment_without_rebuilding
 MISSING = object()
 
 
-@pytest.mark.parametrize("formula, reason", [
-    (MISSING, "'formula'"),
-    (5, "formula is not DIMACS text: 5"),
-    (["p cnf 3 3"], "formula is not DIMACS text: ['p cnf 3 3']"),
-    ("p cnf 3 3\n1 2 0\n", "line 2: clause has 2 literals, expected 3"),
-    ("1 2 3 0\n", "line 1: clause before 'p cnf' header"),
-    ("p cnf 3 1\n1 2 3 0\n", "variable 1 never appears negatively"),
-    ("p cnf 4 3\n1 2 4 0\n-1 3 -4 0\n-2 -3 4 0\n", "formula is not of 3 variables and 3 clauses"),
-    ("p cnf 3 4\n1 2 3 0\n-1 2 3 0\n-1 -2 -3 0\n1 2 3 0\n",
+@pytest.mark.parametrize("key, value, reason", [
+    ("formula", MISSING, "'formula'"),
+    ("formula", 5, "formula is not DIMACS text: 5"),
+    ("formula", ["p cnf 3 3"], "formula is not DIMACS text: ['p cnf 3 3']"),
+    ("formula", "p cnf 3 3\n1 2 0\n", "line 2: clause has 2 literals, expected 3"),
+    ("formula", "1 2 3 0\n", "line 1: clause before 'p cnf' header"),
+    ("formula", "p cnf 3 1\n1 2 3 0\n", "variable 1 never appears negatively"),
+    ("formula", "p cnf 4 3\n1 2 4 0\n-1 3 -4 0\n-2 -3 4 0\n",
      "formula is not of 3 variables and 3 clauses"),
+    ("formula", "p cnf 3 4\n1 2 3 0\n-1 2 3 0\n-1 -2 -3 0\n1 2 3 0\n",
+     "formula is not of 3 variables and 3 clauses"),
+    # int() would accept all three, truncating 2.5 to a K the rebuild then uses
+    ("K", 2.0, "K is not an integer: 2.0"),
+    ("K", "2", "K is not an integer: '2'"),
+    ("K", 2.5, "K is not an integer: 2.5"),
 ], ids=["missing", "number", "list", "dimacs error", "no header", "not strict", "variables",
-        "clauses"])
-def test_load_refuses_a_manifest_without_a_usable_formula(tmp_path, monkeypatch, formula, reason):
+        "clauses", "K integral float", "K str", "K float"])
+def test_load_refuses_a_manifest_without_a_usable_formula(tmp_path, monkeypatch, key, value,
+                                                          reason):
     # refused before the header, budget and size checks: nothing is parsed or rebuilt
     write_instance(build_instance(EXAMPLE, k_override=2, m_override=5), tmp_path / "inst")
     path = tmp_path / "inst.manifest.json"
     manifest = json.loads(path.read_text())
-    if formula is MISSING:
-        del manifest["formula"]
+    if value is MISSING:
+        del manifest[key]
     else:
-        manifest["formula"] = formula
+        manifest[key] = value
     path.write_text(json.dumps(manifest))
     (tmp_path / "inst.digraph").write_text("1 0\n")  # contradicts the manifest
     monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 0)
