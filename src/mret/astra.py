@@ -26,13 +26,11 @@ never pick them.
 
 from __future__ import annotations
 
-import marshal
-import os
 import random
-import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
+from . import forks
 from .errors import ScaleLimitError, as_int
 from .graphs import Digraph, bfs_tree, is_strongly_connected
 
@@ -49,8 +47,6 @@ GREEDY_SWEEP_WORK_LIMIT = 10**7
 # splitting a sweep this large in two saves up to 7 ms.  They cost a
 # 255 MB process 10.5 ms, so there a sweep near the threshold loses.
 FORK_WORK_THRESHOLD = 10**5
-# POSIX's number for SIGKILL; `import signal` would add about 1 ms to start-up
-_SIGKILL = 9
 # Work of an exact pair sweep, visited out-trees * (nodes + edges).  A unit cost
 # 89-275 ns on a 2-CPU host (fig3 and random-sc sweeps): 4-14 s at the limit.
 EXACT_PAIR_WORK_LIMIT = 5 * 10**7
@@ -249,7 +245,7 @@ def sweep_blocks(
     raises ScaleLimitError too as soon as its visited out-trees * (nodes
     + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy
     sweep of two or more roots and FORK_WORK_THRESHOLD units of work or
-    more is then split in halves when `_may_fork` allows, and a forked
+    more is then split in halves when `forks.may_fork` allows, and a forked
     child sweeps the second half and sends back only its summary, written
     with `marshal`, so `summarize` must return ints, strings and tuples or
     lists of them.  Otherwise the roots are one block, swept in the caller.
@@ -259,104 +255,10 @@ def sweep_blocks(
     search = _root_search(g, roots, method, seed, limit)
     if (method == "greedy" and len(roots) > 1
             and len(roots) * (g.node_count + g.edge_count) >= FORK_WORK_THRESHOLD
-            and _may_fork()):
-        return _fork_join(lambda block: summarize(map(search, block)), roots)
+            and forks.may_fork()):
+        return forks.fork_join(lambda block: summarize(map(search, block)), roots,
+                               "greedy sweep of roots")
     return [summarize(map(search, roots))]
-
-
-def _may_fork() -> bool:
-    """Whether a sweep may fork: the platform has `os.fork` and
-    `os.sched_getaffinity`, the affinity set holds two or more CPUs, and
-    the process runs no other thread, which a forked child would not have."""
-    threading = sys.modules.get("threading")  # loaded by someone else, if at all
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading is not None and threading.active_count() > 1):
-        return False
-    try:  # threads started outside `threading`, as Python 3.12's fork warning counts them
-        if len(os.listdir("/proc/self/task")) > 1:
-            return False
-    except OSError:  # no /proc: the `threading` check stands alone
-        pass
-    return len(os.sched_getaffinity(0)) > 1
-
-
-def _fork_join(run: Callable[[Iterable[int]], object], roots: list[int]) -> list:
-    """`[run(first half), run(second half)]` of `roots`, the second half
-    run in a forked child that writes its marshalled result to a pipe.
-
-    The caller runs the first half (and the second too if the fork
-    failed) while the child runs its half, then reads the pipe to its
-    end and reaps the child.  The pipe starts with a status byte: 0 and
-    the marshalled result, or 1 and the repr of the child's error, after
-    which the caller raises RuntimeError naming it; the exit status is
-    only checked when the caller can still see it (a caller that ignores
-    SIGCHLD or reaps with `waitpid(-1)` cannot).  When the caller itself
-    fails or is interrupted, it kills and reaps the child before the
-    error propagates; a child whose caller was killed by a signal leaves
-    before its next root.
-    """
-    half = len(roots) // 2
-    first, second = roots[:half], roots[half:]
-    caller = os.getpid()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: both halves run here
-        os.close(read)
-        os.close(write)
-        return [run(first), run(second)]
-    if pid == 0:
-        code = 1
-        try:
-            try:
-                summary = run(_orphan_guard(second, caller))
-                payload, status = b"\0" + marshal.dumps(summary), 0
-            except BaseException as exc:  # the child's boundary: report, then exit
-                payload, status = b"\1" + repr(exc).encode(), 1
-            view = memoryview(payload)
-            while view:
-                view = view[os.write(write, view):]
-            code = status
-        finally:
-            os._exit(code)  # never return into the caller's frames
-    os.close(write)
-    reaped = False
-    try:
-        results = [run(first)]
-        chunks = []
-        while chunk := os.read(read, 1 << 16):
-            chunks.append(chunk)
-        try:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except ChildProcessError:  # SIGCHLD ignored, or another reaper came first
-            code = None
-        reaped = True
-        data = b"".join(chunks)
-        if data[:1] != b"\0" or code:
-            message = data[1:].decode(errors="replace") if data[:1] == b"\1" else "no message"
-            raise RuntimeError(
-                f"greedy sweep of roots {second[0]}-{second[-1]} failed in a forked "
-                f"process (exit status {'unknown' if code is None else code}): {message}")
-        results.append(marshal.loads(memoryview(data)[1:]))
-    finally:
-        if not reaped:
-            try:
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running, so still ours
-                    os.kill(pid, _SIGKILL)
-                    os.waitpid(pid, 0)
-            except OSError:  # reaped elsewhere meanwhile: its pid may name another process now
-                pass
-        os.close(read)
-    return results
-
-
-def _orphan_guard(roots: list[int], caller: int) -> Iterator[int]:
-    """`roots`, leaving the process at once when `caller` is no longer
-    its parent: a caller killed by a signal cannot kill its children."""
-    for root in roots:
-        if os.getppid() != caller:
-            os._exit(1)
-        yield root
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:

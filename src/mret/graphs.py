@@ -59,11 +59,12 @@ class Digraph:
         edges = self.edges
         # a tuple of exact-int pairs is kept as it is; anything else is rebuilt
         if not (type(edges) is tuple and _exact(edges, tuple) and set(map(len, edges)) <= {2}
-                and _exact(chain.from_iterable(edges), int)):
+                and _exact(ends := list(chain.from_iterable(edges)), int)):
             edges = tuple((as_int(a, "edge {} endpoint", i), as_int(b, "edge {} endpoint", i))
                           for i, (a, b) in enumerate(edges))
             object.__setattr__(self, "edges", edges)
-        if edges and (min(chain.from_iterable(edges)) < 0 or max(chain.from_iterable(edges)) >= n):
+            ends = list(chain.from_iterable(edges))
+        if ends and (min(ends) < 0 or max(ends) >= n):
             for i, (a, b) in enumerate(edges):
                 if not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"edge {i} endpoint out of range: ({a}, {b}) with n={n}")

@@ -365,14 +365,15 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     """Rebuild an instance once from its manifest and check its files.
 
     `read(path)` gives each file's text; all three are read first, in
-    `instance_paths` order.  Refused in this order: a manifest without the
-    DIMACS text of a strict 3-CNF of its n variables and m clauses; a
-    digraph header that contradicts it; with ScaleLimitError an instance
-    too large to evaluate (only with `evaluate`: `check_reach_budget`) or
-    to rebuild (`check_instance_size`); a digraph of other than m + 1
-    lines whose parsed counts differ, before the rebuild; digraph and
-    roles files whose text is neither the rebuild's canonical text nor
-    parses to it; a manifest that is not the rebuild's.
+    `instance_paths` order.  Refused in this order: a manifest whose n, m,
+    K or M is not an int (a boolean included) or without the DIMACS text
+    of a strict 3-CNF of its n variables and m clauses; a digraph header
+    that contradicts it; with ScaleLimitError an instance too large to
+    evaluate (only with `evaluate`: `check_reach_budget`) or to rebuild
+    (`check_instance_size`); a digraph of other than m + 1 lines whose
+    parsed counts differ, before the rebuild; digraph and roles files
+    whose text is neither the rebuild's canonical text nor parses to it; a
+    manifest that is not the rebuild's.
     """
     graph_path, roles_path, manifest_path = instance_paths(prefix)
     # str() only names decode errors
@@ -380,6 +381,9 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     roles_text = parse_file(str, read, roles_path)
     try:
         manifest = json.loads(read(manifest_path))
+        for key in ("n", "m", "K", "M"):  # as_int takes a bool, and True == 1
+            if type(manifest[key]) is bool:
+                raise TypeError(f"{key} is not an integer: {json.dumps(manifest[key])}")
         params = ReductionParams(*(manifest[k] for k in ("n", "m", "K", "M")))
         if not isinstance(dimacs := manifest["formula"], str):
             raise TypeError(f"formula is not DIMACS text: {dimacs!r}")

@@ -9,9 +9,13 @@ The digests live in `corpus_digests.json` beside this file, keyed by
 case name, so a change that alters a result shows which case it alters.
 
 All-roots greedy sweeps (`solve --method arb`, `astra --method greedy`)
-run twice: once with `astra._may_fork` forced off, and once with it
+run twice: once with `forks.may_fork` forced off, and once with it
 forced on and `astra.FORK_WORK_THRESHOLD` at 0, so that even the small
-sweeps here fork their second half.
+sweeps here fork their second half.  Every `eval`, `convert` and
+`certify --schedule` case runs a second time, as `<name>/fork`, with
+`forks.may_fork` forced on and `reachability.FORK_BITS_THRESHOLD` at 0,
+so that the engine forks its second half of sources; a `/fork` case
+must answer as its own case does.
 
 Regenerate the digests after a change that alters results on purpose:
 
@@ -29,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from mret import astra
+from mret import astra, forks, reachability
 from mret.cli import main
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import Digraph, format_digraph
@@ -72,7 +76,7 @@ def write_inputs() -> dict[str, Digraph]:
 
 def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]]:
     """(name, argv, fork) of every case; `fork` is None for commands that
-    never sweep roots greedily, else whether the sweep may fork."""
+    never fork, else whether a greedy sweep or the engine may fork."""
     out: list[tuple[str, list[str], bool | None]] = []
 
     def add(name, argv, fork=None):
@@ -82,18 +86,22 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
         add(f"{name}/serial", argv, False)
         add(f"{name}/fork", argv, True)
 
+    def engine(name, argv):
+        add(name, argv)
+        add(f"{name}/fork", argv, True)
+
     for k in FIG3_KS:
         add(f"gen/fig3/{k}", ["gen", "fig3", "--k", str(k)])
     for n, extra, seed in RANDOM_SC:
         add(f"gen/random-sc/{n}_{extra}_{seed}",
             ["gen", "random-sc", "--n", str(n), "--extra", str(extra), "--seed", str(seed)])
-    add("convert/tied", ["convert", "tied.tg"])
+    engine("convert/tied", ["convert", "tied.tg"])
     add("bounds/official_3_3", ["bounds", "--n", "3", "--m", "3"])
     add("bounds/override_2_5", ["bounds", "--n", "2", "--m", "5", "--k", "1", "--m-param", "2"])
     add("reduce/k1_m2", ["reduce", "f.cnf", "--k", "1", "--m-param", "2", "--out", "inst"])
     for bits in ("FTT", "TTT", "FFF", "101"):
         add(f"certify/assignment/{bits}", ["certify", "inst", "--assignment", bits])
-    add("certify/schedule", ["certify", "inst", "--schedule", "inst.schedule"])
+    engine("certify/schedule", ["certify", "inst", "--schedule", "inst.schedule"])
     # K = 3 and M = 7: the b, d and e nodes come in twin classes of several members
     add("reduce/k3_m7", ["reduce", "f.cnf", "--k", "3", "--m-param", "7", "--out", "inst3"])
     for bits in ("FTT", "TTF", "FFT", "FFF"):
@@ -104,8 +112,9 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
         if stem in ("path3", "loop"):
             continue
         schedule, times = f"{stem}.schedule", f"{stem}.times"
-        add(f"eval/{stem}/schedule", ["eval", name, schedule])
-        add(f"eval/{stem}/times", ["eval", name, times, "--counts"])
+        engine(f"eval/{stem}/schedule", ["eval", name, schedule])
+        engine(f"eval/{stem}/times", ["eval", name, times, "--counts"])
+        engine(f"eval/{stem}/times/total", ["eval", name, times])
         if m <= 10:
             add(f"solve/exact/{stem}", ["solve", name])
         if m <= 24:
@@ -157,16 +166,17 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
 
 def run_case(argv: list[str], fork: bool | None) -> str:
     """The digest of one invocation, run in the current directory."""
-    saved = astra._may_fork, astra.FORK_WORK_THRESHOLD
+    saved = forks.may_fork, astra.FORK_WORK_THRESHOLD, reachability.FORK_BITS_THRESHOLD
     if fork is not None:
-        astra._may_fork = lambda: fork
-        astra.FORK_WORK_THRESHOLD = 0 if fork else saved[1]
+        forks.may_fork = lambda: fork
+    if fork:
+        astra.FORK_WORK_THRESHOLD = reachability.FORK_BITS_THRESHOLD = 0
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
-        astra._may_fork, astra.FORK_WORK_THRESHOLD = saved
+        forks.may_fork, astra.FORK_WORK_THRESHOLD, reachability.FORK_BITS_THRESHOLD = saved
     record = (json.loads(out.getvalue())["result"] if code == 0
               else {"exit": code, "stderr": err.getvalue()})
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))

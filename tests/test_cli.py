@@ -708,6 +708,21 @@ def test_non_utf8_input_names_the_file(instance_prefix, suffix, tmp_path, capsys
     assert err.count(str(path)) == 1 and "can't decode byte 0xff" in err
 
 
+def test_certify_refuses_a_boolean_manifest_parameter(tmp_path, capsys):
+    # at K = 1 the rebuild from "K": true would equal the instance on file
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(EXAMPLE_CNF)
+    prefix = str(tmp_path / "inst")
+    assert main(["reduce", str(cnf), "--k", "1", "--m-param", "2", "--out", prefix]) == 0
+    path = Path(prefix + ".manifest.json")
+    manifest = json.loads(path.read_text())
+    manifest["K"] = True
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    err = one_line_error(["certify", prefix, "--assignment", "FTT"], capsys)
+    assert err == f"error: bad manifest {path}: K is not an integer: true\n"
+
+
 def test_run_manifest_fields(two_cycle, tmp_path, capsys):
     sched = tmp_path / "s.txt"
     sched.write_text("0 1\n")

@@ -20,6 +20,14 @@ def test_corpus_digests_are_unchanged():
     assert not changed, f"{len(changed)} corpus cases changed: {changed}"
 
 
+def test_forked_cases_answer_as_their_serial_twins():
+    want = json.loads(corpus.DIGESTS.read_text())
+    forked = [name for name in want if name.endswith("/fork")]
+    twins = {name: want.get(name.replace("/fork", "/serial"), want.get(name[:-len("/fork")]))
+             for name in forked}
+    assert len(forked) == 122 and all(want[name] == twins[name] for name in forked)
+
+
 def test_certify_assignment_cases_do_not_run_the_engine(tmp_path, monkeypatch):
     # the certify --assignment totals come from the twin classes alone
     want = json.loads(corpus.DIGESTS.read_text())
@@ -57,4 +65,4 @@ def test_certify_proves_reduce_output_by_its_text(tmp_path, monkeypatch):
         if argv[0] == "certify":
             assert builds[0] == sizes[argv[1]] and builds[1:] in ([], [(1, 1)]), name
             checked += 1
-    assert checked == 10
+    assert checked == 11

@@ -574,8 +574,14 @@ MISSING = object()
     ("K", 2.0, "K is not an integer: 2.0"),
     ("K", "2", "K is not an integer: '2'"),
     ("K", 2.5, "K is not an integer: 2.5"),
+    # as_int takes a bool for an int, and True == 1 would pass the final comparison
+    ("K", True, "K is not an integer: true"),
+    ("n", True, "n is not an integer: true"),
+    ("m", False, "m is not an integer: false"),
+    ("M", True, "M is not an integer: true"),
 ], ids=["missing", "number", "list", "dimacs error", "no header", "not strict", "variables",
-        "clauses", "K integral float", "K str", "K float"])
+        "clauses", "K integral float", "K str", "K float", "K true", "n true", "m false",
+        "M true"])
 def test_load_refuses_a_manifest_without_a_usable_formula(tmp_path, monkeypatch, key, value,
                                                           reason):
     # refused before the header, budget and size checks: nothing is parsed or rebuilt

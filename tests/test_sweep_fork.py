@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mret.forks
 from mret import astra
 from mret.astra import best_root, exact_pair, greedy_pair, sweep_blocks
 from mret.errors import ScaleLimitError
@@ -218,8 +219,8 @@ def test_no_fork_while_threads_unknown_to_threading_run():
 def test_single_roots_and_exact_sweeps_stay_serial(monkeypatch):
     g = gen_fig3(2)[0]
     asked = []
-    may_fork = astra._may_fork
-    monkeypatch.setattr(astra, "_may_fork", lambda: asked.append(1) or may_fork())
+    may_fork = mret.forks.may_fork
+    monkeypatch.setattr(mret.forks, "may_fork", lambda: asked.append(1) or may_fork())
     with forking(True) as forks:
         solve_arborescence(g, root=3)
         best_root(g, "exact", limit=g.edge_count)
@@ -323,6 +324,7 @@ def test_children_leave_when_their_caller_is_killed(tmp_path):
     # SIGKILL runs no cleanup in the caller: the child must notice on its own
     script = f"""
 import os, time
+import mret.forks
 from mret import astra
 from mret.generators import gen_fig3
 astra.FORK_WORK_THRESHOLD = 0
