@@ -243,22 +243,19 @@ def sweep_blocks(
     nodes and is strongly connected, and the exact edge `limit`; scale
     limits raise ScaleLimitError, the rest ValueError, and an exact sweep
     raises ScaleLimitError too as soon as its visited out-trees * (nodes
-    + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy
-    sweep of two or more roots and FORK_WORK_THRESHOLD units of work or
-    more is then split in halves when `forks.may_fork` allows, and a forked
-    child sweeps the second half and sends back only its summary, written
-    with `marshal`, so `summarize` must return ints, strings and tuples or
-    lists of them.  Otherwise the roots are one block, swept in the caller.
-    Merged in order, the blocks give the same result either way.
+    + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy sweep then runs in one block,
+    or in two as `forks.fork_join` decides from its work and FORK_WORK_THRESHOLD;
+    a forked child sends back its block's summary with `marshal`, so `summarize`
+    returns ints, strings and tuples or lists of them.  Merged in order, the
+    blocks give the same result either way.
     """
     roots = [as_int(root, "root") for root in roots]
     search = _root_search(g, roots, method, seed, limit)
-    if (method == "greedy" and len(roots) > 1
-            and len(roots) * (g.node_count + g.edge_count) >= FORK_WORK_THRESHOLD
-            and forks.may_fork()):
-        return forks.fork_join(lambda block: summarize(map(search, block)), roots,
-                               "greedy sweep of roots")
-    return [summarize(map(search, roots))]
+    if method != "greedy":  # an exact sweep's `visits` budget is one iterator over all its roots
+        return [summarize(map(search, roots))]
+    return forks.fork_join(lambda block: summarize(map(search, block)), roots,
+                           "greedy sweep of roots", len(roots) * (g.node_count + g.edge_count),
+                           FORK_WORK_THRESHOLD)
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
@@ -341,9 +338,8 @@ def best_root(
 ) -> AstraReport:
     """Run the chosen pair search from every root and report the argmax.
 
-    A greedy sweep forks one child when `sweep_blocks` says so; the
-    child sends back only its roots' min-sizes, and the report is the
-    same whether it forked or not.
+    A forked greedy sweep's child sends back only its roots' min-sizes,
+    and the report is the same whether it forked or not.
     """
     blocks = sweep_blocks(g, range(g.node_count), lambda pairs: [p.min_size for p in pairs],
                           method, seed, limit)

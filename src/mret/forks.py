@@ -1,5 +1,5 @@
-"""The one-child fork shared by the greedy root sweep and the engine's
-forward pass: the child runs the second half of the roots or sources."""
+"""The one fork decision and one-child fork of the greedy root sweep and the
+engine's forward pass: the child runs the second half of the roots or sources."""
 
 import marshal
 import os
@@ -26,9 +26,12 @@ def may_fork() -> bool:
     return len(os.sched_getaffinity(0)) > 1
 
 
-def fork_join(run: Callable[[Iterable[int]], object], items: Sequence[int], what: str) -> list:
-    """`[run(first half), run(second half)]` of `items`, the second half
-    run in a forked child that writes its marshalled result to a pipe.
+def fork_join(run: Callable[[Iterable[int]], object], items: Sequence[int], what: str,
+              work: int, threshold: int) -> list:
+    """`[run(items)]`, or `[run(first half), run(second half)]` of `items`
+    if there are two or more, `work` is at least `threshold` and `may_fork`
+    allows (asked last: a job below its threshold never lists the threads),
+    the second half run in a forked child that writes its marshalled result.
 
     The caller runs the first half (and the second too if the fork
     failed) while the child runs its half, then reads the pipe to its
@@ -40,6 +43,8 @@ def fork_join(run: Callable[[Iterable[int]], object], items: Sequence[int], what
     caller that fails or is interrupted kills and reaps the child first;
     a child whose caller was killed by a signal leaves before its next item.
     """
+    if len(items) < 2 or work < threshold or not may_fork():
+        return [run(items)]
     first, second = items[:len(items) // 2], items[len(items) // 2:]
     caller = os.getpid()
     read, write = os.pipe()
@@ -78,8 +83,10 @@ def fork_join(run: Callable[[Iterable[int]], object], items: Sequence[int], what
         data = b"".join(chunks)
         if data[:1] != b"\0" or code:
             message = data[1:].decode(errors="replace") if data[:1] == b"\1" else "no message"
+            ascending = list(second) == list(range(second[0], second[-1] + 1))
+            named = f"{second[0]}-{second[-1]}" if ascending else ", ".join(map(str, second))
             raise RuntimeError(
-                f"{what} {second[0]}-{second[-1]} failed in a forked "
+                f"{what} {named} failed in a forked "
                 f"process (exit status {'unknown' if code is None else code}): {message}")
         results.append(marshal.loads(memoryview(data)[1:]))
     finally:

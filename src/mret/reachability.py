@@ -132,11 +132,9 @@ def _timeline(g: Digraph, timing: Schedule | Temporalisation):
 
 
 def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:
-    """Total reachability of a schedule or temporalisation, forward pass only.
-
-    From FORK_BITS_THRESHOLD n * (n + m), if `forks.may_fork`, a forked child counts the
-    second half of the sources; a pass over sources lo..hi - 1 starts v at bit v - lo.
-    """
+    """Total reachability of a schedule or temporalisation, forward pass only, in two
+    source halves when `forks.fork_join` decides so from n * (n + m) and
+    FORK_BITS_THRESHOLD; a pass over sources lo..hi - 1 starts v at bit v - lo."""
     order, ends = _timeline(g, timing)
     check_reach_budget(n := g.node_count)
 
@@ -146,9 +144,8 @@ def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:
             reach[v] = 1 << bit
         return sum(map(int.bit_count, _propagate(n, g.edges, order, ends, reach)))
 
-    if n > 1 and n * (n + g.edge_count) >= FORK_BITS_THRESHOLD and forks.may_fork():
-        return sum(forks.fork_join(count, range(n), "forward pass of sources"))
-    return count(range(n))
+    return sum(forks.fork_join(count, range(n), "forward pass of sources",
+                               n * (n + g.edge_count), FORK_BITS_THRESHOLD))
 
 
 def _evaluate(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityResult:

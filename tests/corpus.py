@@ -44,7 +44,7 @@ DIGESTS = Path(__file__).with_name("corpus_digests.json")
 CNF = "p cnf 3 3\n1 2 3 0\n-1 2 3 0\n-1 -2 -3 0\n"
 RANDOM_SC = ((5, 4, 1), (5, 4, 2), (6, 6, 3), (8, 6, 0), (12, 12, 1), (30, 30, 2))
 CYCLES = (3, 4, 7, 12)
-FIG3_KS = range(1, 11)
+FIG3_KS = range(1, 21)
 
 
 def write_inputs() -> dict[str, Digraph]:

@@ -397,6 +397,34 @@ def test_greedy_sweep_matches_unpruned_reference_on_generated_graphs():
             check_greedy_sweep_against_reference(g, seed)
 
 
+def check_span_bounds(g) -> int:
+    """Every root's span bound, per build order, equals the searched
+    formula of `span_bound_reference`; returns how many of them the hub
+    shortcut gave without a search."""
+    shortcuts = 0
+    for rows, back in ((g.out_adj, g.in_adj), (g.in_adj, g.out_adj)):
+        bound = astra._span_bounds(rows, back)
+        for root in range(g.node_count):
+            with mock.patch.object(astra, "bfs_tree", wraps=astra.bfs_tree) as search:
+                assert bound(root) == span_bound_reference(rows, root)
+            shortcuts += not search.called
+    return shortcuts
+
+
+@check
+@given(st.integers(3, 12), st.data())
+def test_span_bound_shortcut_equals_the_searched_bound(n, data):
+    # dense graphs, where the row-longest node reaches every node and most
+    # roots take the shortcut; no benchmark graph reaches it
+    extra = data.draw(st.integers(n * (n - 2) // 2, n * (n - 2)))
+    check_span_bounds(gen_random_sc(n, extra, seed=data.draw(st.integers(0, 2**16))))
+
+
+def test_span_bound_shortcut_fires_at_every_root_of_the_complete_digraph():
+    g = Digraph(6, tuple((u, v) for u in range(6) for v in range(6) if u != v))
+    assert check_span_bounds(g) == 2 * 6
+
+
 @settings(check, max_examples=30)
 @given(st.data())
 def test_exact_pair_matches_labeling_oracle(data):

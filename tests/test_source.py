@@ -16,3 +16,16 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_only_forks_decides_to_fork():
+    # one module owns the fork decision: its callers pass their work and threshold
+    package = Path(mret.__file__).parent
+    calls = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py")) if path.name != "forks.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in ("fork", "may_fork")
+    ]
+    assert calls == []
