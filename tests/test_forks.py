@@ -234,23 +234,37 @@ def test_forked_sweeps_equal_the_serial_ones(data):
     assert forked == serial
 
 
-def test_bench_graphs_and_a_fixed_corpus_forked_equal_serial():
+def test_bench_graphs_forked_equal_serial():
     graphs = [gen_random_sc(200, 600, seed=1), gen_fig3(100)[0]]
-    graphs += [gen_fig3(k)[0] for k in range(1, 21)]
+    forked, serial = both_ways(lambda: [arb_and_greedy(g) for g in graphs])
+    assert forked == serial
+
+
+def test_fixed_corpus_forked_equals_serial():
+    graphs = [gen_fig3(k)[0] for k in range(1, 21)]
     graphs += [gen_random_sc(30, 60, seed=s) for s in range(10)]
     forked, serial = both_ways(lambda: [arb_and_greedy(g) for g in graphs])
     assert forked == serial
 
 
+ROOTS, HALVES = [5, 0, 7, 3, 9, 1, 2], [[5, 0, 7], [3, 9, 1, 2]]
+
+
+def check_blocks(cpus, blocks):
+    with forking(True, cpus) as made:
+        out = sweep_blocks(FIG3, ROOTS,
+                           lambda pairs: (os.getpid(), [pair.root for pair in pairs]))
+    assert [block for _, block in out] == blocks and len(made) == len(blocks) - 1
+    assert out[0][0] == os.getpid() and all(pid != os.getpid() for pid, _ in out[1:])
+
+
 def test_blocks_partition_the_roots_in_order():
-    # one child for the second half, however wide the host
-    roots, halves = [5, 0, 7, 3, 9, 1, 2], [[5, 0, 7], [3, 9, 1, 2]]
-    for cpus, blocks in [(1, [roots]), (2, halves), (64, halves)]:
-        with forking(True, cpus) as made:
-            out = sweep_blocks(FIG3, roots,
-                               lambda pairs: (os.getpid(), [pair.root for pair in pairs]))
-        assert [block for _, block in out] == blocks and len(made) == len(blocks) - 1
-        assert out[0][0] == os.getpid() and all(pid != os.getpid() for pid, _ in out[1:])
+    for cpus, blocks in [(1, [ROOTS]), (2, HALVES)]:
+        check_blocks(cpus, blocks)
+
+
+def test_a_wide_host_forks_one_child_for_the_second_half():
+    check_blocks(64, HALVES)
 
 
 def test_a_failing_child_names_a_half_out_of_order(monkeypatch):
