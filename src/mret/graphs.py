@@ -24,6 +24,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import gc
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -161,42 +162,74 @@ def _ints(line: str, lineno: int, expect: int, what: str) -> list[int]:
         raise ParseError(f"{what}: non-integer field in {line!r}", lineno) from None
 
 
+_DIGITS = b"0123456789"
+_SEPARATORS_TO_COMMAS = bytes.maketrans(b" \n", b",,")
+
+
+def _canonical_values(text: str, head: bytes, row: bytes) -> list[int] | None:
+    """The integers of `text`, in order, if it is canonical, as the writers
+    here emit it: digit runs without leading zeros, each ended by one
+    separator, the separators spelling `head`, then `row` any number of
+    times, then one LF.  None for any other text.
+    """
+    data = text.encode()
+    seps = data.translate(None, _DIGITS)
+    rows = (len(seps) - len(head) - 1) // len(row)
+    if seps != head + row * rows + b"\n":
+        return None
+    # The text is digits and separators alone.  Cut its last character, an
+    # LF if canonical, and JSON reads each digit run as int() does, except
+    # that it refuses a leading zero (and int() too more digits than its
+    # limit) and an empty run: so there are as many values as separators
+    # exactly when each separator ends a run and the last one ends the text.
+    try:
+        values = json.loads(b"[" + data[:-1].translate(_SEPARATORS_TO_COMMAS) + b"]")
+    except ValueError:
+        return None
+    return values if len(values) == len(seps) else None
+
+
+def _trusted_digraph(node_count: int, edges: tuple[tuple[int, int], ...]) -> Digraph:
+    """A Digraph built without `Digraph.__post_init__`'s checks, for a caller
+    that has established them: `node_count` is an exact int >= 0 and `edges`
+    a tuple of exact-int pairs, each end in range(node_count)."""
+    g = object.__new__(Digraph)
+    vars(g).update(node_count=node_count, edges=edges)
+    return g
+
+
 def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, Temporalisation | None]:
     """Shared core of the digraph and temporal-graph formats: the graph
     and, when `timed`, the time labels of its edge lines.
 
-    One bulk pass splits and converts the whole file, and the value
-    types check the endpoints and labels.  A file that fails any check
-    is parsed again line by line, which names the first bad line.
+    A canonical file, as `format_digraph` and `format_temporal_graph`
+    write it (digit runs, single spaces, LF line ends), is converted in
+    one scan, and its endpoint range is checked once, on the flat list of
+    values.  Every other file, valid or not, such as one with comments,
+    blank lines, tabs, CRLF or leading zeros, is read line by line by
+    `_parse_edge_table_by_line`, with the same result; so is a canonical
+    one that fails a check, so that the first bad line is named.
     """
     fields = 3 if timed else 2
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line for line in lines if not line.lstrip().startswith("#")]
-    # the number of tokens of each data line; blank lines have none
-    widths = list(filter(None, map(len, map(str.split, lines))))
-    m = len(widths) - 1
-    if m >= 0 and widths[0] == 2 and widths[1:].count(fields) == m:
-        try:
-            values = list(map(int, "\n".join(lines).split()))
-            if values[1] == m:
-                n, body = values[0], values[2:]
-                # Each edge tuple counts towards a cyclic collection that can
-                # free none of them: 150,000 took 43 ms to build with the
-                # collector on and 23 ms with it paused.  The pause is
-                # process-wide: a gc.disable() made meanwhile by another
-                # thread is undone when it ends.
-                enabled = gc.isenabled()
-                gc.disable()
-                try:
-                    edges = tuple(zip(body[0::fields], body[1::fields]))
-                finally:
-                    if enabled:
-                        gc.enable()
-                g = Digraph(n, edges)
-                return g, Temporalisation(tuple(body[2::3])) if timed else None
-        except ValueError:  # a non-integer, an endpoint out of range or a label below 1
-            pass
+    values = _canonical_values(text, b" ", b"\n" + b" " * (fields - 1))
+    if values is not None and values[1] * fields == len(values) - 2:
+        n, body = values[0], values[2:]
+        tails, heads, labels = body[0::fields], body[1::fields], body[2::3] if timed else ()
+        # digit runs are never negative: an end is bad above n - 1, a label at 0
+        if max(tails, default=-1) < n and max(heads, default=-1) < n and 0 not in labels:
+            # Each edge tuple counts towards a cyclic collection that can
+            # free none of them: 150,000 took 43 ms to build with the
+            # collector on and 23 ms with it paused.  The pause is
+            # process-wide: a gc.disable() made meanwhile by another
+            # thread is undone when it ends.
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                edges = tuple(zip(tails, heads))
+            finally:
+                if enabled:
+                    gc.enable()
+            return _trusted_digraph(n, edges), Temporalisation(tuple(labels)) if timed else None
     return _parse_edge_table_by_line(text, timed)
 
 
@@ -297,23 +330,32 @@ _TIMING_WORDS = {
 def parse_timing(text: str, edge_count: int, kind: str = "auto") -> Schedule | Temporalisation:
     """Parse a schedule or times file: one line of `edge_count` integers.
 
-    With ``kind="auto"`` the file is a schedule if its values are a
-    permutation of 0..m-1 and a times file otherwise; valid times are
-    >= 1, so a permutation can only be a schedule.
+    A canonical file, as `format_schedule` writes it (digit runs, single
+    spaces, one LF), is converted in one scan; every other file, such as
+    one with comments, blank lines, tabs, CRLF or leading zeros, is read
+    line by line, with the same result.  With ``kind="auto"`` the file
+    is a schedule if its values are a permutation of 0..m-1 and a times
+    file otherwise; valid times are >= 1, so a permutation can only be a
+    schedule.
     """
     name, one, several = _TIMING_WORDS[kind]
-    lines = _data_lines(text)
-    if edge_count == 0 and not lines:
-        return Temporalisation(()) if kind == "times" else Schedule(())
-    if len(lines) != 1:
-        raise ParseError(f"{name} file must have exactly one data line, found {len(lines)}")
-    lineno, line = lines[0]
-    try:
-        values = tuple(map(int, line.split()))
-    except ValueError:
-        raise ParseError(f"non-integer {one}", lineno) from None
-    if len(values) != edge_count:
-        raise ParseError(f"expected {edge_count} {several}, got {len(values)}", lineno)
+    values = _canonical_values(text, b"", b" ")
+    if values is not None and len(values) == edge_count:
+        lineno = 1
+    else:
+        lines = _data_lines(text)
+        if edge_count == 0 and not lines:
+            return Temporalisation(()) if kind == "times" else Schedule(())
+        if len(lines) != 1:
+            raise ParseError(f"{name} file must have exactly one data line, found {len(lines)}")
+        lineno, line = lines[0]
+        try:
+            values = list(map(int, line.split()))
+        except ValueError:
+            raise ParseError(f"non-integer {one}", lineno) from None
+        if len(values) != edge_count:
+            raise ParseError(f"expected {edge_count} {several}, got {len(values)}", lineno)
+    values = tuple(values)
     if kind == "auto":
         try:
             return Schedule(values)

@@ -23,9 +23,9 @@ reversed time order (duality); they must sum to the forward total.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
+from itertools import accumulate
 
 from . import forks
 from .errors import ScaleLimitError
@@ -123,12 +123,9 @@ def _timeline(g: Digraph, timing: Schedule | Temporalisation):
         raise ValueError(
             f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
         )
-    order = timing.order
-    ranked = list(map(times.__getitem__, order))
-    # a run of equal times ends wherever the next ranked label differs
-    ends = list(compress(range(1, len(order)), map(ne, ranked, ranked[1:])))
-    ends.append(len(order))
-    return order, ends
+    # the run of label t ends after the edges of every label up to t
+    counts = Counter(times)
+    return timing.order, list(accumulate(map(counts.__getitem__, sorted(counts))))
 
 
 def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:

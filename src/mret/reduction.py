@@ -46,6 +46,7 @@ from .errors import ParseError, as_int, parse_file
 from .graphs import (
     Digraph,
     Schedule,
+    _trusted_digraph,
     check_instance_size,
     format_digraph,
     format_roles,
@@ -225,7 +226,8 @@ def build_instance(
     if (len(edges), len(roles)) != (params.edge_count, params.node_count):
         raise RuntimeError(f"built {len(edges)} edges and {len(roles)} nodes, {params} "
                            f"needs {params.edge_count} and {params.node_count}")
-    g = Digraph(len(roles), tuple(edges))
+    # every end is an id that `_layout` handed out, so the checks of Digraph hold
+    g = _trusted_digraph(len(roles), tuple(edges))
     bounds = (lower_bound(params), upper_bound_one(params), upper_bound_two(params))
     return ReductionInstance(g, roles, params, f, bounds, tuple(map(tuple, phases)))
 

@@ -164,6 +164,13 @@ def test_a_failing_caller_kills_its_child(caller, monkeypatch, error):
         assert len(made) == 1 and time.monotonic() - started < 20
 
 
+LISTDIR = os.listdir  # reads the thread list while a case hides /proc from `os.listdir`
+
+
+def no_proc(path):
+    raise FileNotFoundError(2, "No such file or directory", path)
+
+
 @contextlib.contextmanager
 def other_thread(known: bool):
     """Another thread, started through `threading` (`known`) or through
@@ -185,7 +192,7 @@ def other_thread(known: bool):
         release.set()
         assert done.wait(10)
         deadline = time.monotonic() + 10  # until the OS's thread list drops it too
-        while len(os.listdir("/proc/self/task")) > 1:
+        while len(LISTDIR("/proc/self/task")) > 1:
             assert time.monotonic() < deadline
             time.sleep(0.01)
 
@@ -196,6 +203,9 @@ FALLBACKS = {
     "no_sched_getaffinity": lambda mp, caller: mp.delattr(os, "sched_getaffinity"),
     "threads_known_to_threading": lambda mp, caller: other_thread(known=True),
     "threads_unknown_to_threading": lambda mp, caller: other_thread(known=False),
+    # where the OS's thread list cannot be read, `threading` alone sees the thread
+    "threads_known_to_threading_without_proc":
+        lambda mp, caller: mp.setattr(os, "listdir", no_proc) or other_thread(known=True),
     "below_the_threshold":
         lambda mp, caller: mp.setattr(caller.module, caller.threshold, caller.work + 1),
 }

@@ -5,6 +5,7 @@ import pytest
 
 from instances import EXAMPLE, Index
 
+from mret import graphs
 from mret.astra import best_root, exact_pair, greedy_pair
 from mret.cnf import CnfFormula
 from mret.errors import ParseError
@@ -83,6 +84,51 @@ def test_bulk_parse_leaves_the_collector_as_it_found_it():
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_canonical_files_are_read_in_one_scan_and_others_line_by_line(monkeypatch):
+    g = gen_random_sc(30, 60, seed=3)
+    m = g.edge_count
+    s = Schedule(tuple(reversed(range(m))))
+    t = Temporalisation(tuple(1 + i % 7 for i in range(m)))
+    times = " ".join(map(str, t.times)) + "\n"
+    lines = []  # every line-by-line read splits the text with `_data_lines`
+    data_lines = graphs._data_lines
+    monkeypatch.setattr(graphs, "_data_lines", lambda text: lines.append(text) or data_lines(text))
+    assert parse_digraph(format_digraph(g)) == g
+    assert parse_temporal_graph(format_temporal_graph(g, t)) == (g, t)
+    assert parse_schedule(format_schedule(s), m) == s
+    assert parse_times(times, m) == t
+    assert lines == []
+    # a comment, a blank line, a tab, CRLF or a leading zero: the same values
+    for edit in (lambda text: "# c\n" + text, lambda text: text + "\n",
+                 lambda text: text.replace(" ", "\t", 1), lambda text: text.replace("\n", "\r\n"),
+                 lambda text: "0" + text):
+        assert parse_digraph(edit(format_digraph(g))) == g
+        assert parse_temporal_graph(edit(format_temporal_graph(g, t))) == (g, t)
+        assert parse_schedule(edit(format_schedule(s)), m) == s
+        assert parse_times(edit(times), m) == t
+    assert len(lines) == 5 * 4
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_digraph, "2 1\n2 0\n", "line 2: endpoint out of range: (2, 0) with n=2"),
+    (parse_digraph, "2 1\n0 2\n", "line 2: endpoint out of range: (0, 2) with n=2"),
+    (parse_digraph, "2 2\n0 1\n", "line 1: expected 2 edge lines, found 1"),
+    (parse_digraph, "2 1\n0 1\n1 0\n", "line 1: expected 1 edge lines, found 2"),
+    (parse_digraph, "2 1\n0 1\n10", "line 1: expected 1 edge lines, found 2"),
+    (parse_temporal_graph, "2 1\n0 1 0\n", "line 2: time label must be >= 1, got 0"),
+    (parse_temporal_graph, "2 1\n0 2 1\n", "line 2: endpoint out of range: (0, 2) with n=2"),
+    (lambda text: parse_schedule(text, 3), "0 1\n", "line 1: expected 3 edge indices, got 2"),
+    (lambda text: parse_schedule(text, 3), "2 0\n13",
+     "schedule file must have exactly one data line, found 2"),
+    (lambda text: parse_schedule(text, 2), "0 0\n", "line 1: order is not a permutation of 0..m-1"),
+    (lambda text: parse_times(text, 2), "1 0\n", "line 1: time label of edge 1 must be >= 1, got 0"),
+], ids=["tail", "head", "few lines", "more lines", "digits after the last LF", "label of 0",
+        "temporal head", "few indices", "two lines", "not a permutation", "times label of 0"])
+def test_files_in_the_canonical_layout_that_fail_a_check_are_named_by_line(parse, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def test_digraph_permits_self_loops_and_parallel_edges():

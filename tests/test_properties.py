@@ -285,6 +285,15 @@ def test_instance_files_round_trip(formula, K, M):
 
 
 @check
+@given(strict_3cnfs(), st.integers(1, 3), st.integers(1, 6))
+def test_built_instances_equal_checked_digraphs(formula, K, M):
+    # `build_instance` skips the checks of Digraph; they would keep its edges as given
+    g = build_instance(formula, k_override=K, m_override=M).digraph
+    checked = Digraph(g.node_count, g.edges)
+    assert g == checked and checked.edges is g.edges and type(g.node_count) is int
+
+
+@check
 @given(strict_3cnfs(max_clauses=8), st.integers(1, 4), st.integers(1, 9))
 def test_constructive_total_is_the_engine_total(formula, K, M):
     inst = build_instance(formula, k_override=K, m_override=M)
@@ -566,7 +575,7 @@ def test_swapping_commuting_edges_keeps_the_total(gs):
             assert total_reachability(g, Schedule(tuple(swapped))) == total
 
 
-# -- the bulk parsers against the line-by-line ones ---------------------------
+# -- the one-scan parsers against the line-by-line ones -----------------------
 
 _SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t "])
 _PAD = st.sampled_from(["", " ", "\t", " \t"])
@@ -575,8 +584,12 @@ _NOISE_LINE = st.sampled_from(["", "  ", "\t", "# comment", "  # 1 2 3", "#", "#
 
 @st.composite
 def rendered(draw, rows):
-    """A file of token `rows` with the noise every reader skips: comment
-    and blank lines, CRLF, tabs, leading and trailing whitespace."""
+    """A file of token `rows`: in one example of two the canonical layout
+    the writers emit (single spaces, LF, nothing else), otherwise with the
+    noise every reader skips: comment and blank lines, CRLF, tabs,
+    leading and trailing whitespace."""
+    if draw(st.booleans()):
+        return "".join(" ".join(row) + "\n" for row in rows)
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lines = []
     for row in [*rows, None]:
@@ -587,7 +600,11 @@ def rendered(draw, rows):
 
 
 MUTATIONS = ("drop a token", "add a token", "non-integer", "endpoint out of range",
-             "label of 0", "header count off by one", "# inside a line", "drop a line")
+             "label of 0", "header count off by one", "# inside a line", "drop a line",
+             "token form", "comma inside a line")
+# forms that a C-level scanner of digit runs reads otherwise than int():
+# int() takes the first three and "-0", and refuses more than 4,300 digits
+_TOKEN_FORMS = ("007", "+1", "1_0", "1e3", "1.0", "-0", "true", "[1]", "1" * 4301)
 
 
 @st.composite
@@ -615,6 +632,11 @@ def mutated(draw, rows, n, count=1):
         row[-1] = "0"
     elif mutation == "header count off by one":
         rows[0][count] = str(int(rows[0][count]) + draw(st.sampled_from([-1, 1])))
+    elif mutation == "token form":
+        row[draw(at)] = draw(st.sampled_from(_TOKEN_FORMS))
+    elif mutation == "comma inside a line":
+        j = draw(at)
+        row[j] = draw(st.sampled_from([f"{row[j]},", f",{row[j]}", f"{row[j]},0"]))
     else:
         j = draw(at)
         row[j] = draw(st.sampled_from(["#", "#" + row[j], row[j] + "#"]))
@@ -644,7 +666,11 @@ def test_bulk_edge_table_matches_line_parser(data, gt, timed):
     g, t = gt
     t = t if timed else None
     text = data.draw(rendered(edge_rows(g, t)))
-    assert _parse_edge_table(text, timed) == _parse_edge_table_by_line(text, timed) == (g, t)
+    got = _parse_edge_table(text, timed)
+    assert got == _parse_edge_table_by_line(text, timed) == (g, t)
+    # the checks of Digraph would keep the parsed edges as given
+    assert Digraph(got[0].node_count, got[0].edges).edges is got[0].edges
+    assert type(got[0].node_count) is int
 
 
 @check_mutated

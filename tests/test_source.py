@@ -29,3 +29,18 @@ def test_only_forks_decides_to_fork():
         and ast.unparse(node.func).rpartition(".")[2] in ("fork", "may_fork")
     ]
     assert calls == []
+
+
+def test_only_the_bulk_parse_and_the_reduction_build_unchecked_digraphs():
+    # `graphs._trusted_digraph` skips the checks of `Digraph`: only callers
+    # that have established them themselves may call it
+    package = Path(mret.__file__).parent
+    callers = [
+        f"{path.relative_to(package)}:{func.name}"
+        for path in sorted(package.rglob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "_trusted_digraph"
+    ]
+    assert callers == ["graphs.py:_parse_edge_table", "reduction.py:build_instance"]
