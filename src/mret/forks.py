@@ -42,6 +42,9 @@ def fork_join(run: Callable[[Iterable[int]], object], items: Sequence[int], what
     it (not when it ignores SIGCHLD or reaps with `waitpid(-1)`).  A
     caller that fails or is interrupted kills and reaps the child first;
     a child whose caller was killed by a signal leaves before its next item.
+    The child's `run` gets its items as an iterator that makes this check
+    as each item is drawn, so a `run` should draw them as it goes: the
+    sweep takes one root at a time, the engine one tile of sources.
     """
     if len(items) < 2 or work < threshold or not may_fork():
         return [run(items)]

@@ -3,21 +3,24 @@
 A temporal path is an edge sequence that is consecutive in endpoints
 and strictly increasing in appearing time.  Equal-time edges therefore
 never chain.  All evaluation goes through one kernel, `_propagate`: a
-single pass over the edges in time order that keeps, for every node,
-the packed bit set of sources reaching it, so processing edge (a, b)
-merges the set of a into the set of b.  Every prefix of the pass uses
-strictly smaller times than the edge being processed, so one pass is
-exact for a schedule.  A temporalisation with ties is passed as runs of
-equal times: inside a run every mask is read before any merge, so an
-edge never sees a merge made at its own time.
+single pass over the (tail, head) pairs in firing order that keeps, for
+every node, the packed bit set of sources reaching it, so processing
+edge (a, b) merges the set of a into the set of b.  Every prefix of the
+pass uses strictly smaller times than the edge being processed, so one
+pass is exact for a schedule.  A temporalisation with ties is passed as
+runs of equal times: inside a run every mask is read before any merge,
+so an edge never sees a merge made at its own time.
 
 Reach sets are Python integers used as bit vectors, so one merge is a
 single word-parallel OR: a pass costs O(m * n / wordsize).  Reflexive
 pairs count: an empty-edge graph has total = n.
 
-`total_reachability` runs the forward pass only (on a large graph, over
-two halves of the sources, one in a forked child).  The full evaluations
-add per-source counts by the same kernel over the reversed edges in
+The engine lays each evaluation's edges out once as one flat array of
+endpoints in firing order.  `total_reachability` runs the forward pass
+only, in tiles of sources whose reach sets are at most TILE_BITS bits
+together (on a large graph over two halves of the sources, one in a
+forked child).  The full evaluations add per-source counts by the same
+kernel over the array read backwards, which is the reversed edges in
 reversed time order (duality); they must sum to the forward total.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 from . import forks
 from .errors import ScaleLimitError
@@ -39,6 +42,12 @@ REACH_BITS_LIMIT = 1 << 32
 # -> 20-46 ms; (10^4, 10^5): 119-145 -> 118-144 ms; (20,000, 10^5): 171-258 -> 171-206 ms;
 # (30,000, 150,000): 397-600 -> 321-418 ms.
 FORK_BITS_THRESHOLD = 2 * 10**9
+# Reach-set bits per tile of sources in `total_reachability`: n sources run in the fewest equal
+# tiles of W sources with n * W at most this (32 MiB).  One forked pass at (n, m) = (30,000,
+# 150,000) with 1, 2, 3, 4 tiles per half, schedule, medians of 11 interleaved runs on a shared
+# 2-CPU host: 378, 350, 367, 391 ms (ties: 431, 407, 465, 513 ms); peak RSS of the caller
+# 113, 88, 76, 72 MB and of its child 107, 82, 69, 65 MB.  So n = 30,000 runs 2 tiles per half.
+TILE_BITS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -86,22 +95,23 @@ def initial_reach(node_count: int) -> list[int]:
     return [1 << v for v in range(node_count)]
 
 
-def _propagate(node_count: int, edges, order, ends=None, reach=None) -> list[int]:
-    """Reach sets after firing `edges[ei]` for every `ei` of `order`.
+def _propagate(node_count: int, pairs, ends=None, reach=None) -> list[int]:
+    """Reach sets after firing every (tail, head) edge of `pairs`, an
+    iterable in firing order.
 
-    `ends` lists the exclusive end positions in `order` of the runs of
-    equal times; None means every edge has its own time.  The pass
-    starts from `initial_reach`, or merges into the given `reach` list.
+    `ends` lists the exclusive end positions in `pairs` of the runs of
+    equal times, each taken with `islice`; None means every edge has its
+    own time.  The pass starts from `initial_reach`, or merges into the
+    given `reach` list.
     """
     reach = initial_reach(node_count) if reach is None else reach
     if ends is None:
-        for ei in order:
-            a, b = edges[ei]
+        for a, b in pairs:
             reach[b] |= reach[a]
         return reach
-    start = 0
+    pairs, start = iter(pairs), 0
     for end in ends:
-        run = [edges[ei] for ei in order[start:end]]
+        run = list(islice(pairs, end - start))
         masks = [reach[a] for a, _ in run]
         for (_, b), mask in zip(run, masks):
             reach[b] |= mask
@@ -110,50 +120,86 @@ def _propagate(node_count: int, edges, order, ends=None, reach=None) -> list[int
 
 
 def _timeline(g: Digraph, timing: Schedule | Temporalisation):
-    """(order, ends) of `timing` for `_propagate`."""
+    """(endpoints, ends) of `timing` for `_propagate`: the tail and head of
+    every edge in firing order, flat in one `array` of C ints, and the run
+    ends.  Checks `check_reach_budget` before laying them out."""
     if isinstance(timing, Schedule):
         if len(timing.order) != g.edge_count:
             raise ValueError(
                 f"schedule is not a permutation of the graph's edge indices "
                 f"(length {len(timing.order)}, expected {g.edge_count})"
             )
-        return timing.order, None
-    times = timing.times
-    if len(times) != g.edge_count:
-        raise ValueError(
-            f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
-        )
-    # the run of label t ends after the edges of every label up to t
-    counts = Counter(times)
-    return timing.order, list(accumulate(map(counts.__getitem__, sorted(counts))))
+        ends = None
+    else:
+        times = timing.times
+        if len(times) != g.edge_count:
+            raise ValueError(
+                f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
+            )
+        # the run of label t ends after the edges of every label up to t
+        counts = Counter(times)
+        ends = list(accumulate(map(counts.__getitem__, sorted(counts))))
+    check_reach_budget(g.node_count)
+    # imported on first use: `import mret` stays without this extension
+    # module, which the solvers and `certify --assignment` never need
+    from array import array
+
+    edges = g.edges
+    return array("i", list(chain.from_iterable([edges[ei] for ei in timing.order]))), ends
+
+
+def _pairs(endpoints) -> zip:
+    """(tail, head) pairs from a flat iterable of endpoints."""
+    it = iter(endpoints)
+    return zip(it, it)
+
+
+def _tile_width(node_count: int) -> int:
+    """Sources per tile: the fewest equal tiles over all n sources whose
+    reach sets take at most about TILE_BITS bits each."""
+    tiles = max(1, -(-node_count * node_count // TILE_BITS))
+    return -(-node_count // tiles)
 
 
 def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:
-    """Total reachability of a schedule or temporalisation, forward pass only, in two
-    source halves when `forks.fork_join` decides so from n * (n + m) and
-    FORK_BITS_THRESHOLD; a pass over sources lo..hi - 1 starts v at bit v - lo."""
-    order, ends = _timeline(g, timing)
-    check_reach_budget(n := g.node_count)
+    """Total reachability of a schedule or temporalisation, forward pass only.
+
+    The sources run in two halves when `forks.fork_join` decides so from
+    n * (n + m) and FORK_BITS_THRESHOLD, and each half in tiles of
+    `_tile_width` sources, one after another over the same endpoint
+    array: a tile over sources lo..hi - 1 starts v at bit v - lo, counts
+    its bits and frees its sets before the next tile takes its sources.
+    So a pass holds n * W bits of reach sets, not n * n.
+    """
+    endpoints, ends = _timeline(g, timing)
+    n, width = g.node_count, _tile_width(g.node_count)
+
+    def tile_count(tile: list[int]) -> int:
+        reach = [0] * n
+        for bit, v in enumerate(tile):
+            reach[v] = 1 << bit
+        return sum(map(int.bit_count, _propagate(n, _pairs(endpoints), ends, reach)))
 
     def count(sources) -> int:
-        reach = [0] * n
-        for bit, v in enumerate(sources):
-            reach[v] = 1 << bit
-        return sum(map(int.bit_count, _propagate(n, g.edges, order, ends, reach)))
+        # a tile draws its sources only when it starts, so that a forked
+        # child's `forks._orphan_guard` checks its caller between tiles
+        sources = iter(sources)
+        return sum(map(tile_count, iter(lambda: list(islice(sources, width)), [])))
 
     return sum(forks.fork_join(count, range(n), "forward pass of sources",
                                n * (n + g.edge_count), FORK_BITS_THRESHOLD))
 
 
 def _evaluate(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityResult:
-    order, ends = _timeline(g, timing)
-    reach = _propagate(g.node_count, g.edges, order, ends)
+    endpoints, ends = _timeline(g, timing)
+    reach = _propagate(g.node_count, _pairs(endpoints), ends)
     if ends is not None:
         # run [s, e) of the order is run [m - e, m - s) of the reversed order
-        m = len(order)
+        m = g.edge_count
         ends = [m - s for s in reversed([0, *ends[:-1]])]
-    # rev[u] = targets reachable from u
-    rev = _propagate(g.node_count, [(b, a) for a, b in g.edges], order[::-1], ends)
+    # read backwards, the endpoints are the reversed edges in reversed firing
+    # order; rev[u] = targets reachable from u
+    rev = _propagate(g.node_count, _pairs(reversed(endpoints)), ends)
     total = sum(map(int.bit_count, reach))
     counts = tuple(map(int.bit_count, rev))
     if total != sum(counts):

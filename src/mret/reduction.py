@@ -288,16 +288,14 @@ def constructive_total(
     # this order: b's (weight M), then every d_j's and e_j's (weight K)
     twins = [b, *(x for _, _, d, e in clauses for x in (*d, *e))]
     virtual = {c: n + i for i, c in enumerate(twins)}
-    edges = list(classes.digraph.edges)
-    timeline = []
+    edges, pairs = classes.digraph.edges, []
     for ei in order:
-        timeline.append(ei)
-        tail, head = edges[ei]
+        tail, head = edge = edges[ei]
+        pairs.append(edge)
         if tail in virtual:
-            timeline.append(len(edges))
-            edges.append((virtual[tail], head))
+            pairs.append((virtual[tail], head))
     reach = [0 if v in virtual else 1 << v for v in range(n + len(virtual))]
-    reach = _propagate(len(reach), edges, timeline, reach=reach)
+    reach = _propagate(len(reach), pairs, reach=reach)
     singles = (1 << n) - 1  # a class's own bit never enters any reach set
 
     def member_count(v: int) -> int:

@@ -92,7 +92,7 @@ def _stays_normal(prefix: list[int], e: int, chains_e: list[bool]) -> bool:
     return True
 
 
-def _completion_bound(reach: list[int], edges, rest: list[int]) -> int:
+def _completion_bound(reach: list[int], rest: list[tuple[int, int]]) -> int:
     """Upper bound on the total of every completion that fires the `rest`
     edges once each: the total after firing them over and over, from a
     copy of `reach`, until no set changes.  Firing only grows sets, so a
@@ -100,7 +100,7 @@ def _completion_bound(reach: list[int], edges, rest: list[int]) -> int:
     closure, bound, last = list(reach), -1, None
     while bound != last:
         last = bound
-        bound = sum(map(int.bit_count, _propagate(len(reach), edges, rest, reach=closure)))
+        bound = sum(map(int.bit_count, _propagate(len(reach), rest, reach=closure)))
     return bound
 
 
@@ -152,7 +152,7 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
             prefix.append(e)
             e = 0
             if len(prefix) < m and _completion_bound(
-                    reach, edges, list(compress(range(m), unused))) <= best_total:
+                    reach, list(compress(edges, unused))) <= best_total:
                 e = m  # no completion beats the incumbent: backtrack
         elif prefix:
             e = prefix.pop()
@@ -185,24 +185,26 @@ def solve_local(
     for _ in range(restarts):
         order = list(range(m))
         rng.shuffle(order)
-        current = sum(map(int.bit_count, _propagate(n, edges, order)))
+        fired = [edges[ei] for ei in order]  # the edges of `order`, swapped with it
+        current = sum(map(int.bit_count, _propagate(n, fired)))
         explored += 1
         moves = 0
         while steps is None or moves < steps:
             swap_total, swap_at = current, None
             for j in range(m - 1):
-                if not dependent(edges[order[j]], edges[order[j + 1]]):
+                if not dependent(fired[j], fired[j + 1]):
                     continue
-                order[j], order[j + 1] = order[j + 1], order[j]
-                total = sum(map(int.bit_count, _propagate(n, edges, order)))
+                fired[j], fired[j + 1] = fired[j + 1], fired[j]
+                total = sum(map(int.bit_count, _propagate(n, fired)))
                 explored += 1
-                order[j], order[j + 1] = order[j + 1], order[j]
+                fired[j], fired[j + 1] = fired[j + 1], fired[j]
                 if total > swap_total:
                     swap_total = total
                     swap_at = j
             if swap_at is None:
                 break
-            order[swap_at], order[swap_at + 1] = order[swap_at + 1], order[swap_at]
+            for seq in (order, fired):
+                seq[swap_at], seq[swap_at + 1] = seq[swap_at + 1], seq[swap_at]
             current = swap_total
             moves += 1
         key = tuple(order)
@@ -246,7 +248,8 @@ def solve_arborescence(
         best = None
         for pair in pairs:
             order = arborescence_order(g, pair)
-            total = sum(map(int.bit_count, _propagate(g.node_count, g.edges, order)))
+            total = sum(map(int.bit_count,
+                            _propagate(g.node_count, [g.edges[ei] for ei in order])))
             if best is None or total > best[0]:
                 best = (total, order, (len(pair.in_depths), len(pair.out_depths)))
         return best

@@ -13,9 +13,10 @@ run twice: once with `forks.may_fork` forced off, and once with it
 forced on and `astra.FORK_WORK_THRESHOLD` at 0, so that even the small
 sweeps here fork their second half.  Every `eval`, `convert` and
 `certify --schedule` case runs a second time, as `<name>/fork`, with
-`forks.may_fork` forced on and `reachability.FORK_BITS_THRESHOLD` at 0,
-so that the engine forks its second half of sources; a `/fork` case
-must answer as its own case does.
+`forks.may_fork` forced on, `reachability.FORK_BITS_THRESHOLD` at 0 and
+`reachability.TILE_BITS` at 1, so that the engine forks its second half
+of sources and runs each half one source per tile; a `/fork` case must
+answer as its own case does.
 
 Regenerate the digests after a change that alters results on purpose:
 
@@ -166,17 +167,20 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
 
 def run_case(argv: list[str], fork: bool | None) -> str:
     """The digest of one invocation, run in the current directory."""
-    saved = forks.may_fork, astra.FORK_WORK_THRESHOLD, reachability.FORK_BITS_THRESHOLD
+    saved = (forks.may_fork, astra.FORK_WORK_THRESHOLD, reachability.FORK_BITS_THRESHOLD,
+             reachability.TILE_BITS)
     if fork is not None:
         forks.may_fork = lambda: fork
     if fork:
         astra.FORK_WORK_THRESHOLD = reachability.FORK_BITS_THRESHOLD = 0
+        reachability.TILE_BITS = 1  # one source per tile
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
-        forks.may_fork, astra.FORK_WORK_THRESHOLD, reachability.FORK_BITS_THRESHOLD = saved
+        (forks.may_fork, astra.FORK_WORK_THRESHOLD, reachability.FORK_BITS_THRESHOLD,
+         reachability.TILE_BITS) = saved
     record = (json.loads(out.getvalue())["result"] if code == 0
               else {"exit": code, "stderr": err.getvalue()})
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))

@@ -331,26 +331,46 @@ def gone(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] in "ZX"
 
 
+# what a killed caller runs, one kernel call per root or per source: the
+# child's half of 49 roots of fig3 k = 30, or of 50 sources, each tile
+# holding one source, would take about 5 s more at 0.1 s a call
+KILLED_JOBS = {
+    "sweep": ("astra", "_greedy_best", 'astra.best_root(gen_fig3(30)[0], "greedy")'),
+    "engine": ("reachability", "_propagate", "g = gen_random_sc(100, 100, seed=1)\n"
+               "reachability.total_reachability(g, Schedule(tuple(range(g.edge_count))))"),
+}
+
+
 def test_children_leave_when_their_caller_is_killed(tmp_path):
     # SIGKILL runs no cleanup in the caller: the child must notice on its
-    # own.  The engine's child takes all its sources before its kernel
-    # runs, so only the sweep's child can leave mid-job
+    # own, before its next root or its next tile of sources
+    for job, (module, kernel, call) in KILLED_JOBS.items():
+        check_child_leaves(tmp_path / job, module, kernel, call)
+
+
+def check_child_leaves(tmp_path: Path, module: str, kernel: str, call: str):
+    """Run `call` with `module.kernel` slowed, forked, in a caller that is
+    SIGKILLed once the child has called the kernel; the child must end
+    within 2 s."""
+    tmp_path.mkdir()
     script = f"""
 import os, time
-from mret import astra
-from mret.generators import gen_fig3
-astra.FORK_WORK_THRESHOLD = 0
+from mret import astra, reachability
+from mret.generators import gen_fig3, gen_random_sc
+from mret.graphs import Schedule
+astra.FORK_WORK_THRESHOLD = reachability.FORK_BITS_THRESHOLD = 0
+reachability.TILE_BITS = 1
 os.sched_getaffinity = lambda pid: {{0, 1}}
-caller, greedy_best = os.getpid(), astra._greedy_best
-def slow(root, orders, bounds):
+caller, kernel = os.getpid(), {module}.{kernel}
+def slow(*args):
     if os.getpid() != caller:  # written whole, then renamed: a poll never reads it half done
         with open({str(tmp_path / "child.tmp")!r}, "w") as f:
             f.write(f"{{os.getpid()}}\\n")
         os.replace({str(tmp_path / "child.tmp")!r}, {str(tmp_path / "child")!r})
     time.sleep(0.1)
-    return greedy_best(root, orders, bounds)
-astra._greedy_best = slow
-astra.best_root(gen_fig3(30)[0], "greedy")
+    return kernel(*args)
+{module}.{kernel} = slow
+{call}
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(astra.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
@@ -364,7 +384,6 @@ astra.best_root(gen_fig3(30)[0], "greedy")
     finally:
         caller.kill()
         caller.wait()
-    # the child's block of 49 roots would take about 5 s more
     deadline = time.monotonic() + 2
     while not gone(child):
         assert time.monotonic() < deadline, "the child outlived its killed caller"
@@ -374,10 +393,11 @@ astra.best_root(gen_fig3(30)[0], "greedy")
 # -- the engine's forward pass
 
 @st.composite
-def timed_graphs(draw):
-    """(graph, schedule or temporalisation with tied labels, labels): up
-    to 9 nodes and 9 edges, self-loops and parallel edges included."""
-    n = draw(st.integers(0, 9))
+def timed_graphs(draw, least: int = 0):
+    """(graph, schedule or temporalisation with tied labels, labels): at
+    least `least` and up to 9 nodes and 9 edges, self-loops and parallel
+    edges included."""
+    n = draw(st.integers(least, 9))
     node = st.integers(0, max(n - 1, 0))
     edges = tuple(draw(st.lists(st.tuples(node, node), max_size=9 if n else 0)))
     if draw(st.booleans()):
@@ -403,6 +423,21 @@ def test_forked_pass_equals_the_serial_pass_and_the_oracle(case):
     assert forked == serial == len(naive_reach_pairs(g.node_count, g.edges, times))
 
 
+@settings(max_examples=40, deadline=None)
+@given(timed_graphs(least=2))
+def test_every_tile_width_equals_the_full_evaluation_and_the_oracle(case):
+    g, timing, times = case
+    n = g.node_count
+    want = len(naive_reach_pairs(n, g.edges, times))
+    assert reachability._evaluate(g, timing).total == want
+    for tiles in range(1, n + 1):  # from full width to one source per tile
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reachability, "TILE_BITS", -(-n * n // tiles))
+            assert reachability._tile_width(n) == -(-n // tiles)
+            forked, serial = both_ways(lambda: total_reachability(g, timing))
+        assert forked == serial == want
+
+
 def test_odd_halves_on_a_larger_graph():
     # 301 nodes: the caller's half holds sources 0-149, the child's 150-300
     g = gen_random_sc(301, 900, seed=4)
@@ -419,9 +454,9 @@ def test_the_halves_count_their_own_sources(monkeypatch):
     seen = []
     propagate = reachability._propagate
 
-    def recorded(n, edges, order, ends=None, reach=None):
+    def recorded(n, pairs, ends=None, reach=None):
         seen.append((os.getpid(), list(reach)))
-        return propagate(n, edges, order, ends, reach)
+        return propagate(n, pairs, ends, reach)
 
     monkeypatch.setattr(reachability, "_propagate", recorded)
     with forking(True):
@@ -435,6 +470,16 @@ def test_the_halves_count_their_own_sources(monkeypatch):
     with forking(False):
         total_reachability(g, Schedule((0, 1, 2, 3)))
     assert seen[3:] == [(os.getpid(), [1, 2, 4, 8, 16])]
+    # two sources per tile: each tile starts its sources at bits 0-1
+    monkeypatch.setattr(reachability, "TILE_BITS", 10)
+    assert reachability._tile_width(5) == 2
+    with forking(True):
+        assert total_reachability(g, Schedule((0, 1, 2, 3))) == 15
+    assert seen[4:] == [(os.getpid(), [1, 2, 0, 0, 0])]
+    with forking(False):
+        total_reachability(g, Schedule((0, 1, 2, 3)))
+    assert seen[5:] == [(os.getpid(), reach) for reach in
+                        ([1, 2, 0, 0, 0], [0, 0, 1, 2, 0], [0, 0, 0, 0, 1])]
 
 
 def test_full_evaluations_and_refusals_never_fork(monkeypatch):

@@ -556,7 +556,8 @@ def test_completion_bound_holds_for_every_completion(data):
     order = data.draw(st.permutations(range(g.edge_count)))
     k = data.draw(st.integers(0, g.edge_count))
     prefix, rest = order[:k], order[k:]
-    bound = _completion_bound(_propagate(g.node_count, g.edges, prefix), g.edges, rest)
+    fired = _propagate(g.node_count, [g.edges[ei] for ei in prefix])
+    bound = _completion_bound(fired, [g.edges[ei] for ei in rest])
     assert bound >= max(naive_total_for_schedule(g.node_count, g.edges, prefix + list(tail))
                         for tail in permutations(rest))
 

@@ -188,10 +188,10 @@ def test_forward_reverse_disagreement_raises(monkeypatch):
     kernel = reachability._propagate
     passes = []
 
-    def lossy_reverse(node_count, edges, order, ends=None):
-        passes.append(order)
+    def lossy_reverse(node_count, pairs, ends=None):
+        passes.append(pairs)
         if len(passes) == 1:
-            return kernel(node_count, edges, order, ends)
+            return kernel(node_count, pairs, ends)
         return [1 << v for v in range(node_count)]
 
     monkeypatch.setattr(reachability, "_propagate", lossy_reverse)
@@ -208,6 +208,16 @@ def test_total_reachability_is_the_forward_total():
         total_reachability(PATH3, Schedule((0,)))
     with pytest.raises(ValueError, match="does not match"):
         total_reachability(PATH3, Temporalisation((1,)))
+
+
+def test_tiles_follow_the_node_count():
+    # eval-large's 30,000 nodes run in two tiles per forked half, criterion
+    # 9's 10^4 in one; tiles are equal, and a tile holds one source at least
+    assert reachability._tile_width(30_000) == 7_500
+    assert reachability._tile_width(30_001) == 7_501
+    assert reachability._tile_width(10_000) == 10_000
+    assert reachability._tile_width(65_536) * 65_536 == reachability.TILE_BITS  # 16 tiles
+    assert reachability._tile_width(1) == 1 and reachability._tile_width(0) == 0
 
 
 def test_node_count_over_the_reach_budget_is_refused(monkeypatch):

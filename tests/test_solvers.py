@@ -167,7 +167,7 @@ def test_arborescence_certificate_bound():
 def test_arborescence_raises_below_certificate(monkeypatch):
     # a kernel that loses every merge leaves total = n = 2 < 2 * 2
     monkeypatch.setattr(
-        solvers, "_propagate", lambda n, edges, order, ends=None: [1 << v for v in range(n)]
+        solvers, "_propagate", lambda n, pairs, ends=None: [1 << v for v in range(n)]
     )
     with pytest.raises(RuntimeError, match="below its certificate"):
         solve_arborescence(dcycle(2), root=0)
