@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .errors import ParseError, ScaleLimitError, as_int
@@ -75,6 +76,12 @@ class Digraph:
         return len(self.edges)
 
     @cached_property
+    def _endpoints(self) -> array:
+        """The tail and head of every edge in index order, flat in one
+        `array` of C ints; the canonical parse fills it from its values."""
+        return array("i", chain.from_iterable(self.edges))
+
+    @cached_property
     def out_adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node, the outgoing (head, edge_index) pairs in edge order."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
@@ -114,7 +121,16 @@ class Temporalisation:
     @cached_property
     def order(self) -> tuple[int, ...]:
         """Edge indices stably sorted by time label, ties by edge index."""
-        return tuple(sorted(range(len(self.times)), key=self.times.__getitem__))
+        return tuple(_label_runs(self.times)[0])
+
+
+def _label_runs(times) -> tuple[list[int], list[int]]:
+    """The edge indices stably sorted by label, and the exclusive end in
+    that order of each label's run, from one bucket pass over `times`."""
+    runs = {t: [] for t in sorted(set(times))}
+    for i, t in enumerate(times):
+        runs[t].append(i)
+    return list(chain.from_iterable(runs.values())), list(accumulate(map(len, runs.values())))
 
 
 @dataclass(frozen=True)
@@ -205,7 +221,8 @@ def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, Temporalisation 
     A canonical file, as `format_digraph` and `format_temporal_graph`
     write it (digit runs, single spaces, LF line ends), is converted in
     one scan, and its endpoint range is checked once, on the flat list of
-    values.  Every other file, valid or not, such as one with comments,
+    values, which also fills a digraph's `_endpoints` when n <= 2**31.
+    Every other file, valid or not, such as one with comments,
     blank lines, tabs, CRLF or leading zeros, is read line by line by
     `_parse_edge_table_by_line`, with the same result; so is a canonical
     one that fails a check, so that the first bad line is named.
@@ -229,7 +246,10 @@ def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, Temporalisation 
             finally:
                 if enabled:
                     gc.enable()
-            return _trusted_digraph(n, edges), Temporalisation(tuple(labels)) if timed else None
+            g = _trusted_digraph(n, edges)
+            if not timed and n <= 1 << 31:  # every endpoint, below n, fits a C int
+                vars(g)["_endpoints"] = array("i", body)
+            return g, Temporalisation(tuple(labels)) if timed else None
     return _parse_edge_table_by_line(text, timed)
 
 
@@ -259,7 +279,7 @@ def _parse_edge_table_by_line(text: str, timed: bool) -> tuple[Digraph, Temporal
                 raise ParseError(f"time label must be >= 1, got {row[2]}", lineno)
             times.append(row[2])
         edges.append((a, b))
-    return Digraph(n, tuple(edges)), Temporalisation(tuple(times)) if timed else None
+    return _trusted_digraph(n, tuple(edges)), Temporalisation(tuple(times)) if timed else None
 
 
 def parse_digraph(text: str) -> Digraph:

@@ -15,24 +15,27 @@ Reach sets are Python integers used as bit vectors, so one merge is a
 single word-parallel OR: a pass costs O(m * n / wordsize).  Reflexive
 pairs count: an empty-edge graph has total = n.
 
-The engine lays each evaluation's edges out once as one flat array of
-endpoints in firing order.  `total_reachability` runs the forward pass
-only, in tiles of sources whose reach sets are at most TILE_BITS bits
-together (on a large graph over two halves of the sources, one in a
-forked child).  The full evaluations add per-source counts by the same
-kernel over the array read backwards, which is the reversed edges in
-reversed time order (duality); they must sum to the forward total.
+The engine lays each evaluation's edges out once, before any fork, as
+one flat array of endpoints in firing order, gathered as whole (tail,
+head) pairs from the digraph's endpoint array; a run of equal times
+reads its tails and heads as strided slices of it.  `total_reachability`
+runs the forward pass only, in tiles of sources whose reach sets are at
+most TILE_BITS bits together (on a large graph over two halves of the
+sources, one in a forked child).  The full evaluations add per-source
+counts by the same kernel over the array read backwards, which is the
+reversed edges in reversed time order (duality); they must sum to the
+forward total.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import islice, pairwise
 
 from . import forks
 from .errors import ScaleLimitError
-from .graphs import Digraph, Schedule, Temporalisation
+from .graphs import Digraph, Schedule, Temporalisation, _label_runs
 
 # The reach sets of n nodes grow to n*n bits.  Up to this many the engine
 # allocates them (512 MiB per pass, n <= 65,536); beyond it it refuses.
@@ -96,60 +99,58 @@ def initial_reach(node_count: int) -> list[int]:
 
 
 def _propagate(node_count: int, pairs, ends=None, reach=None) -> list[int]:
-    """Reach sets after firing every (tail, head) edge of `pairs`, an
-    iterable in firing order.
+    """Reach sets after firing every edge of `pairs` in firing order.
 
-    `ends` lists the exclusive end positions in `pairs` of the runs of
-    equal times, each taken with `islice`; None means every edge has its
-    own time.  The pass starts from `initial_reach`, or merges into the
-    given `reach` list.
+    With `ends` None, `pairs` is an iterable of (tail, head) pairs, each
+    edge at its own time.  Otherwise `pairs` is a flat sequence of tail
+    and head endpoints, and `ends` lists the exclusive end positions, in
+    edges, of its runs of equal times: each run reads its tails and heads
+    as strided slices and every mask before its first merge.  The pass
+    starts from `initial_reach`, or merges into the given `reach` list.
     """
     reach = initial_reach(node_count) if reach is None else reach
     if ends is None:
         for a, b in pairs:
             reach[b] |= reach[a]
         return reach
-    pairs, start = iter(pairs), 0
-    for end in ends:
-        run = list(islice(pairs, end - start))
-        masks = [reach[a] for a, _ in run]
-        for (_, b), mask in zip(run, masks):
+    for start, end in pairwise([0, *ends]):
+        masks = list(map(reach.__getitem__, pairs[2 * start:2 * end:2]))
+        for b, mask in zip(pairs[2 * start + 1:2 * end:2], masks):
             reach[b] |= mask
-        start = end
     return reach
 
 
 def _timeline(g: Digraph, timing: Schedule | Temporalisation):
     """(endpoints, ends) of `timing` for `_propagate`: the tail and head of
-    every edge in firing order, flat in one `array` of C ints, and the run
-    ends.  Checks `check_reach_budget` before laying them out."""
+    every edge in firing order, flat as C ints, and the run ends (None for
+    a schedule), gathered as 8-byte (tail, head) items of `g._endpoints`
+    with no tuple or list between.  Checks `check_reach_budget` first."""
     if isinstance(timing, Schedule):
         if len(timing.order) != g.edge_count:
             raise ValueError(
                 f"schedule is not a permutation of the graph's edge indices "
                 f"(length {len(timing.order)}, expected {g.edge_count})"
             )
-        ends = None
+        order, ends = timing.order, None
     else:
         times = timing.times
         if len(times) != g.edge_count:
             raise ValueError(
                 f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
             )
-        # the run of label t ends after the edges of every label up to t
-        counts = Counter(times)
-        ends = list(accumulate(map(counts.__getitem__, sorted(counts))))
+        order, ends = _label_runs(times)
     check_reach_budget(g.node_count)
-    # imported on first use: `import mret` stays without this extension
-    # module, which the solvers and `certify --assignment` never need
-    from array import array
-
-    edges = g.edges
-    return array("i", list(chain.from_iterable([edges[ei] for ei in timing.order]))), ends
+    if 2 * array("i").itemsize != array("q").itemsize:
+        raise RuntimeError("the engine reads two C ints as one 8-byte item, but they differ")
+    pairs = memoryview(g._endpoints).cast("B").cast("q")
+    return memoryview(array("q", map(pairs.__getitem__, order))).cast("B").cast("i"), ends
 
 
-def _pairs(endpoints) -> zip:
-    """(tail, head) pairs from a flat iterable of endpoints."""
+def _pairs(endpoints, ends):
+    """What `_propagate` takes with `ends`: the flat `endpoints` for runs
+    of equal times, else (tail, head) pairs from them."""
+    if ends is not None:
+        return endpoints
     it = iter(endpoints)
     return zip(it, it)
 
@@ -178,7 +179,7 @@ def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:
         reach = [0] * n
         for bit, v in enumerate(tile):
             reach[v] = 1 << bit
-        return sum(map(int.bit_count, _propagate(n, _pairs(endpoints), ends, reach)))
+        return sum(map(int.bit_count, _propagate(n, _pairs(endpoints, ends), ends, reach)))
 
     def count(sources) -> int:
         # a tile draws its sources only when it starts, so that a forked
@@ -192,14 +193,14 @@ def total_reachability(g: Digraph, timing: Schedule | Temporalisation) -> int:
 
 def _evaluate(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityResult:
     endpoints, ends = _timeline(g, timing)
-    reach = _propagate(g.node_count, _pairs(endpoints), ends)
+    reach = _propagate(g.node_count, _pairs(endpoints, ends), ends)
     if ends is not None:
         # run [s, e) of the order is run [m - e, m - s) of the reversed order
         m = g.edge_count
         ends = [m - s for s in reversed([0, *ends[:-1]])]
     # read backwards, the endpoints are the reversed edges in reversed firing
     # order; rev[u] = targets reachable from u
-    rev = _propagate(g.node_count, _pairs(reversed(endpoints)), ends)
+    rev = _propagate(g.node_count, _pairs(endpoints[::-1], ends), ends)
     total = sum(map(int.bit_count, reach))
     counts = tuple(map(int.bit_count, rev))
     if total != sum(counts):

@@ -146,6 +146,22 @@ def test_solve_scale_limit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_graph_beyond_c_ints_is_refused_by_the_reach_budget(tmp_path, capsys):
+    # n = 2**40: the canonical parse reads it, its endpoints do not fit the
+    # engine's C ints, and `eval` refuses it by the reach budget first
+    n = 1 << 40
+    graph = tmp_path / "huge.digraph"
+    graph.write_text(f"{n} 1\n0 {n - 1}\n")
+    assert graphs.parse_digraph(graph.read_text()).edges == ((0, n - 1),)
+    for name, text in (("schedule", "0\n"), ("times", "1\n")):
+        timing = tmp_path / name
+        timing.write_text(text)
+        code, out, err = run_cli(["eval", str(graph), str(timing)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: evaluation infeasible at this scale: the reach sets of {n} nodes " \
+            f"take up to {n * n} bits, over the limit of {reachability.REACH_BITS_LIMIT}\n"
+
+
 def test_scale_refusals_exit_two(four_cycle, tmp_path, monkeypatch, capsys):
     sched = tmp_path / "s.txt"
     sched.write_text("0 1 2 3\n")

@@ -15,11 +15,12 @@ solvers are compared, since they refuse self-loops.
 import dataclasses
 import json
 import tempfile
-from itertools import permutations
+from collections import Counter
+from itertools import accumulate, permutations
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -47,6 +48,7 @@ from mret.graphs import (
     Digraph,
     Schedule,
     Temporalisation,
+    _label_runs,
     _parse_edge_table,
     _parse_edge_table_by_line,
     format_digraph,
@@ -60,6 +62,7 @@ from mret.graphs import (
     parse_timing,
 )
 from mret.reachability import (
+    _evaluate,
     _propagate,
     evaluate_schedule,
     evaluate_temporalisation,
@@ -681,6 +684,49 @@ def test_bulk_edge_table_errors_match_line_parser(data, gt, timed):
     rows = data.draw(mutated(edge_rows(g, t if timed else None), g.node_count))
     text = data.draw(rendered(rows))
     assert outcome(_parse_edge_table, text, timed) == outcome(_parse_edge_table_by_line, text, timed)
+
+
+@check
+@given(st.data(), temporalised(max_label=3))
+def test_a_graph_evaluates_alike_on_every_parse_path(data, gt):
+    # the one-scan parse fills the endpoint array from its values; the line
+    # reader (a comment line forces it) and the constructor build it on use
+    g, t = gt
+    text = format_digraph(g)
+    parsed = parse_digraph(text), parse_digraph("# a comment\n" + text)
+    built = Digraph(g.node_count, [list(edge) for edge in g.edges])
+    assert "_endpoints" in vars(parsed[0]) and "_endpoints" not in vars(parsed[1])
+    graphs = (*parsed, built)
+    assert [h._endpoints for h in graphs] == [built._endpoints] * 3
+    assert list(built._endpoints) == [v for edge in g.edges for v in edge]
+    s = Schedule(tuple(data.draw(st.permutations(range(g.edge_count)))))
+    for timing in (s, t):
+        want = _evaluate(g, timing)
+        for h in graphs:
+            got = _evaluate(h, timing)
+            assert (got.total, got.per_source_counts) == (want.total, want.per_source_counts)
+            assert total_reachability(h, timing) == want.total
+
+
+# labels on both sides of the C int and the 8-byte ranges, and few enough
+# values that lists of them repeat labels
+LABELS = st.one_of(st.integers(1, 4), st.integers(2**31 - 1, 2**31 + 1),
+                   st.integers(2**63 - 1, 2**63 + 1))
+
+
+@check
+@given(st.one_of(st.lists(LABELS, max_size=12), st.lists(LABELS, max_size=12, unique=True)))
+@example([])
+@example([7])
+@example([3] * 5)
+@example([2**64, 5, 2**31, 1, 9])
+def test_label_runs_are_the_stable_sort_and_the_counted_run_ends(labels):
+    times = tuple(labels)
+    order, ends = _label_runs(times)
+    counts = Counter(times)
+    assert order == sorted(range(len(times)), key=times.__getitem__)
+    assert ends == list(accumulate(map(counts.__getitem__, sorted(counts))))
+    assert Temporalisation(times).order == tuple(order)
 
 
 @check

@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import combinations, permutations
 
 import pytest
@@ -197,6 +198,14 @@ def test_forward_reverse_disagreement_raises(monkeypatch):
     monkeypatch.setattr(reachability, "_propagate", lossy_reverse)
     with pytest.raises(RuntimeError, match="reverse counts"):
         evaluate_schedule(PATH3, Schedule((0, 1)))
+
+
+def test_c_ints_that_do_not_pair_into_8_byte_items_are_refused(monkeypatch):
+    # an "i" array of 8-byte items, as on a platform with 8-byte C ints
+    monkeypatch.setattr(reachability, "array", lambda code, *args: array("q", *args))
+    for timing in (Schedule((0, 1)), Temporalisation((1, 1))):
+        with pytest.raises(RuntimeError, match="two C ints as one 8-byte item"):
+            total_reachability(PATH3, timing)
 
 
 def test_total_reachability_is_the_forward_total():

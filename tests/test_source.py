@@ -31,7 +31,7 @@ def test_only_forks_decides_to_fork():
     assert calls == []
 
 
-def test_only_the_bulk_parse_and_the_reduction_build_unchecked_digraphs():
+def test_only_the_edge_table_parsers_and_the_reduction_build_unchecked_digraphs():
     # `graphs._trusted_digraph` skips the checks of `Digraph`: only callers
     # that have established them themselves may call it
     package = Path(mret.__file__).parent
@@ -43,4 +43,5 @@ def test_only_the_bulk_parse_and_the_reduction_build_unchecked_digraphs():
         for node in ast.walk(func)
         if isinstance(node, ast.Name) and node.id == "_trusted_digraph"
     ]
-    assert callers == ["graphs.py:_parse_edge_table", "reduction.py:build_instance"]
+    assert callers == ["graphs.py:_parse_edge_table", "graphs.py:_parse_edge_table_by_line",
+                       "reduction.py:build_instance"]
