@@ -34,6 +34,7 @@ from .reachability import (
     ReachabilityResult,
     evaluate_schedule,
     evaluate_temporalisation,
+    reachability_counts,
     schedule_from_temporalisation,
     total_reachability,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "parse_schedule",
     "parse_temporal_graph",
     "parse_times",
+    "reachability_counts",
     "schedule_from_assignment",
     "schedule_from_temporalisation",
     "solve_arborescence",

@@ -373,9 +373,9 @@ def check_pair(g: Digraph, pair: ArborescencePair) -> None:
     def check_tree(edge_ids, depths, toward_root: bool):
         if depths[pair.root] != 0:
             raise ValueError(f"depth of node {pair.root} is wrong")
-        children = set()
+        children, edges = set(), g.edges
         for ei in edge_ids:
-            parent, child = g.edges[ei][::-1] if toward_root else g.edges[ei]
+            parent, child = edges[ei][::-1] if toward_root else edges[ei]
             if child in children or child == pair.root:
                 raise ValueError("node has two tree parents or root has one")
             children.add(child)

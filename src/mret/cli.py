@@ -39,12 +39,7 @@ from .graphs import (
     parse_timing,
     prefix_path,
 )
-from .reachability import (
-    evaluate_schedule,
-    evaluate_temporalisation,
-    schedule_from_temporalisation,
-    total_reachability,
-)
+from .reachability import reachability_counts, schedule_from_temporalisation, total_reachability
 from .reduction import (
     ReductionParams,
     build_instance,
@@ -138,10 +133,8 @@ def cmd_eval(args, run: _Run) -> dict:
     kind = "schedule" if isinstance(timing, Schedule) else "times"
     if not args.counts:
         return {"kind": kind, "total": total_reachability(g, timing)}
-    evaluate = evaluate_schedule if kind == "schedule" else evaluate_temporalisation
-    res = evaluate(g, timing)
-    return {"kind": kind, "total": res.total,
-            "per_source_counts": list(res.per_source_counts)}
+    total, counts = reachability_counts(g, timing)
+    return {"kind": kind, "total": total, "per_source_counts": list(counts)}
 
 
 def cmd_solve(args, run: _Run) -> dict:

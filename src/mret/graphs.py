@@ -3,10 +3,12 @@
 A `Digraph` is an immutable directed graph whose edges keep the index
 they had in the input: edge i is the i-th line of the file and is never
 reordered.  Every other type in the package refers to edges through
-these indices.  Time is attached to edges either as a `Temporalisation`
-(one natural label per edge, ties allowed) or as a `Schedule` (a
-permutation of the edge indices, i.e. the canonical all-distinct
-temporalisation).
+these indices.  A digraph read from a file in the canonical layout
+holds them as one flat array of endpoints and builds its tuple of
+(tail, head) pairs only when first asked for it.  Time is attached to
+edges either as a `Temporalisation` (one natural label per edge, ties
+allowed) or as a `Schedule` (a permutation of the edge indices, i.e.
+the canonical all-distinct temporalisation).
 
 File formats (UTF-8, LF line endings; writers emit the canonical form
 with single spaces and no trailing whitespace):
@@ -49,7 +51,10 @@ class Digraph:
 
     Self-loops and parallel edges are representable (the file format
     allows them); solvers and the reduction reject self-loops at their
-    own boundaries.
+    own boundaries.  A digraph holds its edges as the `edges` tuple of
+    (tail, head) pairs, as the `_endpoints` array, or both: the canonical
+    parse stores only the array, and each is built from the other on
+    first use and kept.  Equality, hashing and repr read `edges`.
     """
 
     node_count: int
@@ -71,14 +76,32 @@ class Digraph:
                 if not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"edge {i} endpoint out of range: ({a}, {b}) with n={n}")
 
-    @property
+    def _edge_tuples(self) -> tuple[tuple[int, int], ...]:
+        """`edges` of a digraph that holds only its endpoint array."""
+        # Each edge tuple counts towards a cyclic collection that can free
+        # none of them: 150,000 took 43 ms to build with the collector on
+        # and 23 ms with it paused.  The pause is process-wide: a
+        # gc.disable() made meanwhile by another thread is undone when it ends.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ends = iter(self._endpoints)
+            return tuple(zip(ends, ends))
+        finally:
+            if enabled:
+                gc.enable()
+
+    @cached_property
     def edge_count(self) -> int:
-        return len(self.edges)
+        """The length of `edges`, or of the endpoint array over 2 for a
+        digraph that holds only the array: neither is built for it."""
+        edges = vars(self).get("edges")
+        return len(self._endpoints) >> 1 if edges is None else len(edges)
 
     @cached_property
     def _endpoints(self) -> array:
         """The tail and head of every edge in index order, flat in one
-        `array` of C ints; the canonical parse fills it from its values."""
+        `array` of C ints; the canonical parse stores only this."""
         return array("i", chain.from_iterable(self.edges))
 
     @cached_property
@@ -100,6 +123,14 @@ class Digraph:
     def self_loops(self) -> list[int]:
         """Indices of self-loop edges, in edge order."""
         return [i for i, (a, b) in enumerate(self.edges) if a == b]
+
+
+# `edges` is a dataclass field, so the cached property that builds it on first
+# use joins the class after the decorator has made the field: a digraph that holds
+# `edges` shadows it.  A `__getattr__` would do as well, but it slows every
+# attribute read of every digraph.
+Digraph.edges = cached_property(Digraph._edge_tuples)
+Digraph.edges.__set_name__(Digraph, "edges")
 
 
 @dataclass(frozen=True)
@@ -205,12 +236,19 @@ def _canonical_values(text: str, head: bytes, row: bytes) -> list[int] | None:
     return values if len(values) == len(seps) else None
 
 
-def _trusted_digraph(node_count: int, edges: tuple[tuple[int, int], ...]) -> Digraph:
+def _trusted_digraph(node_count: int, edges: tuple[tuple[int, int], ...] | None = None,
+                     endpoints: array | None = None) -> Digraph:
     """A Digraph built without `Digraph.__post_init__`'s checks, for a caller
-    that has established them: `node_count` is an exact int >= 0 and `edges`
-    a tuple of exact-int pairs, each end in range(node_count)."""
+    that has established them: `node_count` is an exact int >= 0, and the
+    edges are given as `edges`, a tuple of exact-int pairs, or as
+    `endpoints`, an `array("i")` of 2m ends in edge order, each end in
+    range(node_count)."""
     g = object.__new__(Digraph)
-    vars(g).update(node_count=node_count, edges=edges)
+    vars(g)["node_count"] = node_count
+    if edges is not None:
+        vars(g)["edges"] = edges
+    if endpoints is not None:
+        vars(g)["_endpoints"] = endpoints
     return g
 
 
@@ -220,35 +258,25 @@ def _parse_edge_table(text: str, timed: bool) -> tuple[Digraph, Temporalisation 
 
     A canonical file, as `format_digraph` and `format_temporal_graph`
     write it (digit runs, single spaces, LF line ends), is converted in
-    one scan, and its endpoint range is checked once, on the flat list of
-    values, which also fills a digraph's `_endpoints` when n <= 2**31.
-    Every other file, valid or not, such as one with comments,
-    blank lines, tabs, CRLF or leading zeros, is read line by line by
-    `_parse_edge_table_by_line`, with the same result; so is a canonical
-    one that fails a check, so that the first bad line is named.
+    one scan; its labels are cut from the value list, and its endpoint
+    range is checked by one `max` over what is left, which becomes the
+    digraph's `_endpoints`: no edge tuple is built.  Every other file,
+    valid or not, such as one with comments, blank lines, tabs, CRLF or
+    leading zeros, is read line by line by `_parse_edge_table_by_line`,
+    with the same result; so is a canonical one that fails a check, so
+    that the first bad line is named, and one whose ends outgrow a C int.
     """
     fields = 3 if timed else 2
     values = _canonical_values(text, b" ", b"\n" + b" " * (fields - 1))
     if values is not None and values[1] * fields == len(values) - 2:
-        n, body = values[0], values[2:]
-        tails, heads, labels = body[0::fields], body[1::fields], body[2::3] if timed else ()
-        # digit runs are never negative: an end is bad above n - 1, a label at 0
-        if max(tails, default=-1) < n and max(heads, default=-1) < n and 0 not in labels:
-            # Each edge tuple counts towards a cyclic collection that can
-            # free none of them: 150,000 took 43 ms to build with the
-            # collector on and 23 ms with it paused.  The pause is
-            # process-wide: a gc.disable() made meanwhile by another
-            # thread is undone when it ends.
-            enabled = gc.isenabled()
-            gc.disable()
-            try:
-                edges = tuple(zip(tails, heads))
-            finally:
-                if enabled:
-                    gc.enable()
-            g = _trusted_digraph(n, edges)
-            if not timed and n <= 1 << 31:  # every endpoint, below n, fits a C int
-                vars(g)["_endpoints"] = array("i", body)
+        n = values[0]
+        del values[:2]
+        labels = values[2::3] if timed else ()
+        if timed:
+            del values[2::3]
+        # digit runs are never negative: an end is bad above n - 1 or a C int, a label at 0
+        if max(values, default=-1) < min(n, 1 << 31) and 0 not in labels:
+            g = _trusted_digraph(n, endpoints=array("i", values))
             return g, Temporalisation(tuple(labels)) if timed else None
     return _parse_edge_table_by_line(text, timed)
 

@@ -55,7 +55,7 @@ from .graphs import (
     parse_roles,
     prefix_path,
 )
-from .reachability import _propagate, check_reach_budget, total_reachability
+from .reachability import _propagate, check_eval_work, total_reachability
 
 
 @dataclass(frozen=True)
@@ -369,7 +369,7 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     K or M is not an int (a boolean included) or without the DIMACS text
     of a strict 3-CNF of its n variables and m clauses; a digraph header
     that contradicts it; with ScaleLimitError an instance too large to
-    evaluate (only with `evaluate`: `check_reach_budget`) or to rebuild
+    evaluate (only with `evaluate`: `check_eval_work`) or to rebuild
     (`check_instance_size`); a digraph of other than m + 1 lines whose
     parsed counts differ, before the rebuild; digraph and roles files
     whose text is neither the rebuild's canonical text nor parses to it; a
@@ -397,7 +397,7 @@ def load_instance(prefix: str | Path, read=_read, evaluate: bool = False) -> Red
     if header not in (None, counts):
         raise ParseError(f"{graph_path} does not match its manifest parameters")
     if evaluate:
-        check_reach_budget(params.node_count)
+        check_eval_work(*counts)
     check_instance_size("reduction", *counts)
     parse_graph = partial(parse_file, parse_digraph, lambda _: graph_text, graph_path)
     g = None  # the parsed digraph, once parsed

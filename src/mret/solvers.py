@@ -220,8 +220,9 @@ def arborescence_order(g: Digraph, pair: ArborescencePair) -> tuple[int, ...]:
     leaf-to-root path gets increasing times; then out-tree edges,
     shallowest first; then everything else in index order.
     """
-    in_part = sorted(pair.in_edges, key=lambda ei: (-pair.in_depths[g.edges[ei][0]], ei))
-    out_part = sorted(pair.out_edges, key=lambda ei: (pair.out_depths[g.edges[ei][1]], ei))
+    edges = g.edges
+    in_part = sorted(pair.in_edges, key=lambda ei: (-pair.in_depths[edges[ei][0]], ei))
+    out_part = sorted(pair.out_edges, key=lambda ei: (pair.out_depths[edges[ei][1]], ei))
     used = pair.in_edges | pair.out_edges
     rest = [ei for ei in range(g.edge_count) if ei not in used]
     return tuple(in_part + out_part + rest)
@@ -242,14 +243,14 @@ def solve_arborescence(
     and the result is the same whether the sweep forked or not.
     """
     _reject_self_loops(g)
-    roots = range(g.node_count) if root is None else [root]
+    roots, edges = range(g.node_count) if root is None else [root], g.edges
 
     def block_best(pairs: Iterator[ArborescencePair]):
         best = None
         for pair in pairs:
             order = arborescence_order(g, pair)
             total = sum(map(int.bit_count,
-                            _propagate(g.node_count, [g.edges[ei] for ei in order])))
+                            _propagate(g.node_count, [edges[ei] for ei in order])))
             if best is None or total > best[0]:
                 best = (total, order, (len(pair.in_depths), len(pair.out_depths)))
         return best

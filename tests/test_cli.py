@@ -147,8 +147,9 @@ def test_solve_scale_limit(tmp_path, capsys):
 
 
 def test_a_graph_beyond_c_ints_is_refused_by_the_reach_budget(tmp_path, capsys):
-    # n = 2**40: the canonical parse reads it, its endpoints do not fit the
-    # engine's C ints, and `eval` refuses it by the reach budget first
+    # n = 2**40: its ends do not fit the engine's C ints, so the canonical
+    # parse hands it to the line reader, and every `eval` refuses it by the
+    # tiled passes' work limit: 2**52 tiles of sources over n + 1 nodes and edges
     n = 1 << 40
     graph = tmp_path / "huge.digraph"
     graph.write_text(f"{n} 1\n0 {n - 1}\n")
@@ -156,20 +157,40 @@ def test_a_graph_beyond_c_ints_is_refused_by_the_reach_budget(tmp_path, capsys):
     for name, text in (("schedule", "0\n"), ("times", "1\n")):
         timing = tmp_path / name
         timing.write_text(text)
-        code, out, err = run_cli(["eval", str(graph), str(timing)], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: evaluation infeasible at this scale: the reach sets of {n} nodes " \
-            f"take up to {n * n} bits, over the limit of {reachability.REACH_BITS_LIMIT}\n"
+        for passes, flags in ((1, []), (2, ["--counts"])):
+            code, out, err = run_cli(["eval", str(graph), str(timing), *flags], capsys)
+            assert (code, out) == (2, "")
+            tiles = passes << 52
+            assert err == f"error: evaluation infeasible at this scale: {tiles} tiles of " \
+                f"sources over {n} nodes and 1 edges take {tiles * (n + 1)} units of work, " \
+                f"over the limit of {reachability.EVAL_WORK_LIMIT}\n"
 
 
 def test_scale_refusals_exit_two(four_cycle, tmp_path, monkeypatch, capsys):
+    # the four-cycle runs one tile of 4 sources: 8 units of work a pass
     sched = tmp_path / "s.txt"
     sched.write_text("0 1 2 3\n")
-    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 15)
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 7)
     code, out, err = run_cli(["eval", four_cycle, str(sched)], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: evaluation infeasible at this scale: the reach sets of 4 nodes " \
-        "take up to 16 bits, over the limit of 15\n"
+    assert err == "error: evaluation infeasible at this scale: 1 tiles of sources over 4 " \
+        "nodes and 4 edges take 8 units of work, over the limit of 7\n"
+    tg = tmp_path / "tg.txt"
+    tg.write_text("4 4\n0 1 1\n1 2 2\n2 3 3\n3 0 4\n")
+    assert run_cli(["convert", str(tg)], capsys)[:2] == (2, "")
+    # --counts runs a forward and a backward pass over each tile
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 15)
+    assert run_cli(["eval", four_cycle, str(sched)], capsys)[0] == 0
+    assert run_cli(["convert", str(tg)], capsys)[0] == 0
+    code, out, err = run_cli(["eval", four_cycle, str(sched), "--counts"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation infeasible at this scale: 2 tiles of sources over 4 " \
+        "nodes and 4 edges take 16 units of work, over the limit of 15\n"
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 16)
+    assert run_cli(["eval", four_cycle, str(sched), "--counts"], capsys)[0] == 0
+    # the tiled paths no longer read the reach budget
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 15)
+    assert run_cli(["eval", four_cycle, str(sched), "--counts"], capsys)[0] == 0
     monkeypatch.undo()
     monkeypatch.setattr(astra, "GREEDY_SWEEP_WORK_LIMIT", 31)
     for command in (["solve", four_cycle, "--method", "arb"],
@@ -408,15 +429,16 @@ def test_certify_refuses_an_instance_too_large_to_evaluate_before_parsing(
     parsed = []
     monkeypatch.setattr(reduction, "parse_digraph", parsed.append)
     monkeypatch.setattr(reduction, "build_instance", refuse_to_build)
-    # the instance has 39 nodes, whose reach sets take up to 1,521 bits
-    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39 - 1)
+    # the instance has 39 nodes and 72 edges, which one tile of sources runs
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 39 + 72 - 1)
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == "error: evaluation infeasible at this scale: the reach sets of 39 nodes " \
-        "take up to 1521 bits, over the limit of 1520\n"
+    assert err == "error: evaluation infeasible at this scale: 1 tiles of sources over 39 " \
+        "nodes and 72 edges take 111 units of work, over the limit of 110\n"
     assert parsed == []
     monkeypatch.undo()
-    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39)
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 39 + 72)
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 0)  # not read by the tiled pass
     assert run_json(argv, capsys)["result"]["source"] == "schedule"
 
 
@@ -425,6 +447,7 @@ def test_certify_assignment_is_not_refused_by_the_reach_budget(
 ):
     # an assignment is evaluated on the twin classes, never on 39 reach sets
     monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 39 * 39 - 1)
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 39 + 72 - 1)
     report = run_json(["certify", instance_prefix, "--assignment", "FTT"], capsys)
     assert report["result"]["meets_L"] is True
 

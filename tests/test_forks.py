@@ -1,7 +1,8 @@
-"""The fork protocol of `mret.forks`, through both of its callers, the
-greedy root sweep and the engine's forward pass: forked, each answers as
-in one process, names a failing child's items, leaves no child behind,
-and stays in one process on every serial fallback."""
+"""The fork protocol of `mret.forks`, through each of its callers, the
+greedy root sweep, the engine's forward pass and its forward and
+backward passes for per-source counts: forked, each answers as in one
+process, names a failing child's items, leaves no child behind, and
+stays in one process on every serial fallback."""
 
 import _thread
 import contextlib
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mret import astra, forks, reachability
@@ -26,7 +27,12 @@ from mret.cli import main
 from mret.errors import ScaleLimitError
 from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import Digraph, Schedule, Temporalisation, format_digraph
-from mret.reachability import evaluate_schedule, evaluate_temporalisation, total_reachability
+from mret.reachability import (
+    evaluate_schedule,
+    evaluate_temporalisation,
+    reachability_counts,
+    total_reachability,
+)
 from mret.solvers import solve_arborescence
 from oracle import naive_reach_pairs
 
@@ -102,9 +108,14 @@ SWEEP = Caller(astra, "_greedy_best", "FORK_WORK_THRESHOLD",
 ENGINE = Caller(reachability, "_propagate", "FORK_BITS_THRESHOLD",
                 RSC.node_count * (RSC.node_count + RSC.edge_count), "forward pass of sources 6-11",
                 lambda: total_reachability(RSC, Schedule(tuple(range(RSC.edge_count)))))
+COUNTS = Caller(reachability, "_propagate", "FORK_BITS_THRESHOLD",
+                2 * RSC.node_count * (RSC.node_count + RSC.edge_count),
+                "forward and backward passes of sources 6-11",
+                lambda: reachability_counts(RSC, Temporalisation(
+                    tuple(1 + i % 3 for i in range(RSC.edge_count)))))
 
 
-@pytest.fixture(params=[SWEEP, ENGINE], ids=["sweep", "engine"])
+@pytest.fixture(params=[SWEEP, ENGINE, COUNTS], ids=["sweep", "engine", "counts"])
 def caller(request):
     return request.param
 
@@ -425,17 +436,23 @@ def test_forked_pass_equals_the_serial_pass_and_the_oracle(case):
 
 @settings(max_examples=40, deadline=None)
 @given(timed_graphs(least=2))
+@example((Digraph(4, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 0))),
+          Temporalisation((2,) * 7), [2] * 7))  # one run of equal times
 def test_every_tile_width_equals_the_full_evaluation_and_the_oracle(case):
+    # the forward tiles give the total and the backward ones each source's count
     g, timing, times = case
     n = g.node_count
-    want = len(naive_reach_pairs(n, g.edges, times))
-    assert reachability._evaluate(g, timing).total == want
+    pairs = naive_reach_pairs(n, g.edges, times)
+    want = len(pairs), tuple(sum(u == s for u, _ in pairs) for s in range(n))
+    full = reachability._evaluate(g, timing)
+    assert (full.total, full.per_source_counts) == want
     for tiles in range(1, n + 1):  # from full width to one source per tile
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reachability, "TILE_BITS", -(-n * n // tiles))
             assert reachability._tile_width(n) == -(-n // tiles)
-            forked, serial = both_ways(lambda: total_reachability(g, timing))
-        assert forked == serial == want
+            forked, serial = both_ways(lambda: (total_reachability(g, timing),
+                                                reachability_counts(g, timing)))
+        assert forked == serial == (want[0], want)
 
 
 def test_odd_halves_on_a_larger_graph():
@@ -483,18 +500,26 @@ def test_the_halves_count_their_own_sources(monkeypatch):
 
 
 def test_full_evaluations_and_refusals_never_fork(monkeypatch):
-    # --counts needs the full-width reach sets: it keeps one process
+    # the library's full-width evaluations keep one process, and the tiled
+    # passes refuse a timing that does not fit, or too much work, before
+    # the fork decision
     asked = []
     may_fork = forks.may_fork
     monkeypatch.setattr(forks, "may_fork", lambda: asked.append(1) or may_fork())
     with forking(True) as made:
         evaluate_schedule(RSC, Schedule(tuple(range(RSC.edge_count))))
         evaluate_temporalisation(RSC, Temporalisation((1,) * RSC.edge_count))
-        with pytest.raises(ValueError, match="not a permutation"):
-            total_reachability(RSC, Schedule((0,)))
-        monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 143)
+        for evaluate in (total_reachability, reachability_counts):
+            with pytest.raises(ValueError, match="not a permutation"):
+                evaluate(RSC, Schedule((0,)))
+        # one tile of sources: n + m units of work a pass
+        monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", RSC.node_count + RSC.edge_count - 1)
         with pytest.raises(ScaleLimitError):
             total_reachability(RSC, Schedule(tuple(range(RSC.edge_count))))
+        monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT",
+                            2 * (RSC.node_count + RSC.edge_count) - 1)
+        with pytest.raises(ScaleLimitError):
+            reachability_counts(RSC, Schedule(tuple(range(RSC.edge_count))))
     assert not made and not asked
 
 
@@ -502,15 +527,16 @@ def test_eval_leaves_no_child_on_any_path(tmp_path):
     g = gen_random_sc(8, 6, seed=3)
     (tmp_path / "g.digraph").write_text(format_digraph(g))
     (tmp_path / "g.schedule").write_text(" ".join(map(str, range(g.edge_count))) + "\n")
-    argv = ["eval", str(tmp_path / "g.digraph"), str(tmp_path / "g.schedule")]
-    with forking(True) as made:
-        assert main(argv) == 0
-    assert made
-    for hooks, error in [({"in_child": fail()}, RuntimeError),
-                         ({"in_child": lambda: time.sleep(30), "in_caller": fail(KeyboardInterrupt)},
-                          KeyboardInterrupt)]:
-        with forking(True) as made, pytest.MonkeyPatch.context() as mp:
-            plant(mp, ENGINE, **hooks)
-            with pytest.raises(error):
-                main(argv)
+    for flags in ([], ["--counts"]):
+        argv = ["eval", str(tmp_path / "g.digraph"), str(tmp_path / "g.schedule"), *flags]
+        with forking(True) as made:
+            assert main(argv) == 0
         assert made
+        for hooks, error in [({"in_child": fail()}, RuntimeError),
+                             ({"in_child": lambda: time.sleep(30),
+                               "in_caller": fail(KeyboardInterrupt)}, KeyboardInterrupt)]:
+            with forking(True) as made, pytest.MonkeyPatch.context() as mp:
+                plant(mp, ENGINE, **hooks)
+                with pytest.raises(error):
+                    main(argv)
+            assert made

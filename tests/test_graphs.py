@@ -74,16 +74,38 @@ def test_digraph_roundtrip_canonical():
 
 
 def test_bulk_parse_leaves_the_collector_as_it_found_it():
-    # the bulk parse pauses the cyclic collector while it builds edge tuples
+    # a parsed digraph pauses the cyclic collector while it builds its edge
+    # tuples from its endpoint array, on first use
     was = gc.isenabled()
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert parse_digraph("3 3\n0 1\n1 2\n2 0").edge_count == 3
-            assert parse_temporal_graph("2 2\n0 1 1\n1 0 2")[0].edge_count == 2
+            g = parse_digraph("3 3\n0 1\n1 2\n2 0\n")
+            h = parse_temporal_graph("2 2\n0 1 1\n1 0 2\n")[0]
+            assert "edges" not in vars(g) and "edges" not in vars(h)  # canonical files
+            assert g.edges == ((0, 1), (1, 2), (2, 0)) and h.edges == ((0, 1), (1, 0))
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_a_canonical_parse_builds_edge_tuples_only_on_demand(monkeypatch):
+    lines = []  # every line-by-line read splits the text with `_data_lines`
+    data_lines = graphs._data_lines
+    monkeypatch.setattr(graphs, "_data_lines",
+                        lambda text: lines.append(text) or data_lines(text))
+    # labels above n are no endpoints: one `max` reads the ends alone
+    g, t = parse_temporal_graph("2 3\n0 1 7\n1 0 9\n1 1 2\n")
+    assert set(vars(g)) == {"node_count", "_endpoints"} and lines == []
+    assert g.edge_count == 3 and t.times == (7, 9, 2) and "edges" not in vars(g)
+    assert g.edges == ((0, 1), (1, 0), (1, 1)) and g.edges is vars(g)["edges"]
+    assert g == Digraph(2, ((0, 1), (1, 0), (1, 1)))
+    # ends beyond a C int: the line reader, which holds edge tuples
+    n = 1 << 31
+    huge = parse_digraph(f"{n + 1} 1\n{n} 0\n")
+    assert len(lines) == 1 and set(vars(huge)) == {"node_count", "edges"}
+    assert huge.edges == ((n, 0),) and huge.edge_count == 1
+    assert parse_digraph(f"{n} 1\n{n - 1} 0\n").edges == ((n - 1, 0),) and len(lines) == 1
 
 
 def test_canonical_files_are_read_in_one_scan_and_others_line_by_line(monkeypatch):

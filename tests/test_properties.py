@@ -12,8 +12,10 @@ Self-loops and parallel edges are allowed throughout, except where the
 solvers are compared, since they refuse self-loops.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 import tempfile
 from collections import Counter
 from itertools import accumulate, permutations
@@ -66,6 +68,7 @@ from mret.reachability import (
     _propagate,
     evaluate_schedule,
     evaluate_temporalisation,
+    reachability_counts,
     schedule_from_temporalisation,
     total_reachability,
 )
@@ -706,6 +709,40 @@ def test_a_graph_evaluates_alike_on_every_parse_path(data, gt):
             got = _evaluate(h, timing)
             assert (got.total, got.per_source_counts) == (want.total, want.per_source_counts)
             assert total_reachability(h, timing) == want.total
+            assert reachability_counts(h, timing) == (want.total, want.per_source_counts)
+    # the one-scan parse builds no edge tuple for the engine
+    assert "edges" not in vars(parsed[0])
+
+
+@check
+@given(temporalised(max_label=3))
+def test_every_parse_path_gives_one_digraph_by_edges_equality_hash_and_repr(gt):
+    # the one-scan parses hold the endpoint array alone and build `edges`
+    # from it on first use; the line reader and the constructor hold `edges`
+    g, t = gt
+    text, timed_text = format_digraph(g), format_temporal_graph(g, t)
+    lean = parse_digraph(text), parse_temporal_graph(timed_text)[0]
+    for h in lean:
+        assert set(vars(h)) == {"node_count", "_endpoints"}
+        assert h.edge_count == g.edge_count and "edges" not in vars(h)
+        assert total_reachability(h, t) == total_reachability(g, t)
+        assert "edges" not in vars(h)
+    # pickled and copied before and after `edges` is built
+    copies = [f(h) for h in lean for f in (pickle_round_trip, copy.copy, copy.deepcopy)]
+    assert all("edges" not in vars(h) for h in copies)
+    read = parse_digraph("# a comment\n" + text), parse_temporal_graph("#\n" + timed_text)[0]
+    built = Digraph(g.node_count, [list(edge) for edge in g.edges])
+    every = (*lean, *copies, *read, built)
+    every += tuple(f(h) for h in every for f in (pickle_round_trip, copy.copy, copy.deepcopy))
+    for h in every:
+        assert type(h) is Digraph and h.node_count == g.node_count and h.edges == g.edges
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert list(h._endpoints) == [v for edge in g.edges for v in edge]
+    assert all(h.edges is vars(h)["edges"] for h in every)
+
+
+def pickle_round_trip(value):
+    return pickle.loads(pickle.dumps(value))
 
 
 # labels on both sides of the C int and the 8-byte ranges, and few enough

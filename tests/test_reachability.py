@@ -10,6 +10,7 @@ from mret.graphs import Digraph, Schedule, Temporalisation
 from mret.reachability import (
     evaluate_schedule,
     evaluate_temporalisation,
+    reachability_counts,
     schedule_from_temporalisation,
     total_reachability,
 )
@@ -189,15 +190,19 @@ def test_forward_reverse_disagreement_raises(monkeypatch):
     kernel = reachability._propagate
     passes = []
 
-    def lossy_reverse(node_count, pairs, ends=None):
+    def lossy_reverse(node_count, pairs, ends=None, reach=None):
+        # every second pass, the reverse one, fires no edge
         passes.append(pairs)
-        if len(passes) == 1:
-            return kernel(node_count, pairs, ends)
-        return [1 << v for v in range(node_count)]
+        if len(passes) % 2:
+            return kernel(node_count, pairs, ends, reach)
+        return [1 << v for v in range(node_count)] if reach is None else reach
 
     monkeypatch.setattr(reachability, "_propagate", lossy_reverse)
     with pytest.raises(RuntimeError, match="reverse counts"):
         evaluate_schedule(PATH3, Schedule((0, 1)))
+    with pytest.raises(RuntimeError, match="^forward total 6 differs from the reverse counts' "
+                       "sum 3$"):
+        reachability_counts(PATH3, Schedule((0, 1)))
 
 
 def test_c_ints_that_do_not_pair_into_8_byte_items_are_refused(monkeypatch):
@@ -232,18 +237,48 @@ def test_tiles_follow_the_node_count():
 def test_node_count_over_the_reach_budget_is_refused(monkeypatch):
     # the real budget admits n = 30,000 and refuses n = 10^6 (62 GB of bits)
     assert 30_000**2 <= reachability.REACH_BITS_LIMIT < 1_000_000**2
+    # the full-width evaluations still refuse n > 65,536, allocating nothing;
+    # the tiled passes do not read the budget
+    for timing in (Schedule(()), Temporalisation(())):
+        assert total_reachability(Digraph(65_537, ()), timing) == 65_537
+        with pytest.raises(ScaleLimitError, match="reach sets of 65537 nodes"):
+            reachability._evaluate(Digraph(65_537, ()), timing)
     # a budget of 100 bits admits 10 nodes; refusing 11 allocates nothing
     monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 100)
     small = Digraph(10, ((0, 1),))
-    assert total_reachability(small, Schedule((0,))) == 11
+    assert evaluate_schedule(small, Schedule((0,))).total == 11
     big = Digraph(11, ())
-    for evaluate in (total_reachability, evaluate_schedule):
-        with pytest.raises(ScaleLimitError, match="reach sets of 11 nodes"):
-            evaluate(big, Schedule(()))
+    with pytest.raises(ScaleLimitError, match="reach sets of 11 nodes"):
+        evaluate_schedule(big, Schedule(()))
     with pytest.raises(ScaleLimitError):
         evaluate_temporalisation(big, Temporalisation(()))
     with pytest.raises(ScaleLimitError):
         solve_exact(big)
+    assert total_reachability(big, Schedule(())) == 11
+    assert reachability_counts(big, Temporalisation(())) == (11, (1,) * 11)
+
+
+def test_the_tiled_passes_are_refused_by_their_work(monkeypatch):
+    # the real limit admits n = 10^5, m = 10^6 in 38 tiles (41,800,000
+    # units), and refuses it for 2.5 times as many nodes
+    assert reachability._tile_count(10**5) == 38
+    reachability.check_eval_work(10**5, 10**6, passes=2)
+    with pytest.raises(ScaleLimitError, match="233 tiles of sources over 250000 nodes"):
+        reachability.check_eval_work(250_000, 10**6)
+    # PATH3 runs one tile of 3 sources over 2 edges: 5 units a pass
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 9)
+    assert total_reachability(PATH3, Schedule((0, 1))) == 6
+    with pytest.raises(ScaleLimitError, match="^evaluation infeasible at this scale: 2 tiles "
+                       "of sources over 3 nodes and 2 edges take 10 units of work, over the "
+                       "limit of 9$"):
+        reachability_counts(PATH3, Schedule((0, 1)))
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 4)
+    for timing in (Schedule((0, 1)), Temporalisation((1, 1))):
+        with pytest.raises(ScaleLimitError, match="1 tiles of sources over 3 nodes"):
+            total_reachability(PATH3, timing)
+        # a timing that does not fit the graph is refused as such first
+        with pytest.raises(ValueError):
+            total_reachability(PATH3, type(timing)((1,)))
 
 
 def test_one_time_order_for_the_engine_and_the_schedule():
