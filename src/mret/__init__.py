@@ -6,6 +6,8 @@ with exact bound arithmetic, and explore edge-disjoint arborescence
 pairs.  The ``mret`` command exposes the same operations on files.
 """
 
+from types import ModuleType as _ModuleType
+
 from .astra import (
     ArborescencePair,
     AstraReport,
@@ -33,7 +35,6 @@ from .graphs import (
 from .reachability import (
     ReachabilityResult,
     evaluate_schedule,
-    evaluate_temporalisation,
     reachability_counts,
     schedule_from_temporalisation,
     total_reachability,
@@ -64,55 +65,5 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArborescencePair",
-    "AstraReport",
-    "CnfFormula",
-    "Digraph",
-    "ParseError",
-    "ReachabilityResult",
-    "ReductionInstance",
-    "ReductionParams",
-    "ScaleLimitError",
-    "Schedule",
-    "SolveResult",
-    "Temporalisation",
-    "arborescence_order",
-    "best_root",
-    "build_instance",
-    "certify",
-    "check_bounds",
-    "check_pair",
-    "constructive_total",
-    "evaluate_schedule",
-    "evaluate_temporalisation",
-    "exact_pair",
-    "format_digraph",
-    "format_dimacs",
-    "format_schedule",
-    "format_temporal_graph",
-    "gen_fig3",
-    "gen_random_sc",
-    "greedy_pair",
-    "instance_manifest",
-    "is_strongly_connected",
-    "load_instance",
-    "lower_bound",
-    "parse_assignment",
-    "parse_digraph",
-    "parse_dimacs",
-    "parse_schedule",
-    "parse_temporal_graph",
-    "parse_times",
-    "reachability_counts",
-    "schedule_from_assignment",
-    "schedule_from_temporalisation",
-    "solve_arborescence",
-    "solve_exact",
-    "solve_local",
-    "total_reachability",
-    "upper_bound_one",
-    "upper_bound_two",
-    "variable_gadget_activation",
-    "write_instance",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

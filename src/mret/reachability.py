@@ -27,8 +27,8 @@ sources, one in a forked child) and sums their bit counts;
 `reachability_counts` adds the same tiles over the array read backwards
 for per-source counts, which must sum to the forward total.  Both are
 limited by their work, tiles * (n + m), not by n^2.  The full-width
-evaluations behind `ReachabilityResult` hold n^2 bits in one process
-and keep the n^2 limit.
+`evaluate_schedule`, of either kind of timing, holds n^2 bits in one
+process for its `ReachabilityResult` and keeps the n^2 limit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import ScaleLimitError
 from .graphs import Digraph, Schedule, Temporalisation, _label_runs
 
 # The reach sets of n nodes grow to n*n bits.  Up to this many the full-width
-# evaluations allocate them (512 MiB per pass, n <= 65,536); beyond it they refuse.
+# evaluation allocates them (512 MiB per pass, n <= 65,536); beyond it, it refuses.
 REACH_BITS_LIMIT = 1 << 32
 # Work of the tiled passes, tiles * (n + m): each tile allocates n reach sets and
 # runs m merges of at most W bits.  A unit cost 290-990 ns in one process on a
@@ -68,7 +68,8 @@ TILE_BITS = 1 << 28
 
 @dataclass(frozen=True)
 class ReachabilityResult:
-    """Full reachability picture of one evaluated temporal graph.
+    """Full reachability picture of one evaluated temporal graph, in
+    which a temporalisation fires each run of equal labels as one.
 
     `reach_from[v]` has bit u set iff v is temporally reachable from u
     (bit v is always set).  `per_source_counts[u]` is the number of
@@ -83,13 +84,6 @@ class ReachabilityResult:
 
     def reaches(self, u: int, v: int) -> bool:
         return bool(self.reach_from[v] >> u & 1)
-
-    def sources_reaching(self, v: int) -> set[int]:
-        mask = self.reach_from[v]
-        return {u for u in range(self.node_count) if mask >> u & 1}
-
-    def targets_reached(self, u: int) -> set[int]:
-        return {v for v in range(self.node_count) if self.reach_from[v] >> u & 1}
 
 
 def check_reach_budget(node_count: int) -> None:
@@ -150,9 +144,10 @@ def _timeline(g: Digraph, timing: Schedule | Temporalisation, passes: int = 0):
     """(endpoints, ends) of `timing` for `_propagate`: the tail and head of
     every edge in firing order, flat as C ints, and the run ends (None for
     a schedule), gathered as 8-byte (tail, head) items of `g._endpoints`
-    with no tuple or list between.  Checks the scale first: for `passes`
-    tiled passes `check_eval_work`, and for none, full-width reach sets,
-    `check_reach_budget`.  Either keeps every end far below a C int's limit."""
+    with no tuple or list between.  Checks the timing's type, then its
+    length, then the scale: for `passes` tiled passes `check_eval_work`,
+    and for none, full-width reach sets, `check_reach_budget`.  Either keeps
+    every end far below a C int's limit."""
     if isinstance(timing, Schedule):
         if len(timing.order) != g.edge_count:
             raise ValueError(
@@ -160,13 +155,16 @@ def _timeline(g: Digraph, timing: Schedule | Temporalisation, passes: int = 0):
                 f"(length {len(timing.order)}, expected {g.edge_count})"
             )
         order, ends = timing.order, None
-    else:
+    elif isinstance(timing, Temporalisation):
         times = timing.times
         if len(times) != g.edge_count:
             raise ValueError(
                 f"temporalisation length {len(times)} does not match edge count {g.edge_count}"
             )
         order, ends = _label_runs(times)
+    else:
+        raise TypeError(f"a timing is a Schedule or a Temporalisation, "
+                        f"not {type(timing).__name__}")
     if passes:
         check_eval_work(g.node_count, g.edge_count, passes)
     else:
@@ -283,7 +281,10 @@ def reachability_counts(g: Digraph, timing: Schedule | Temporalisation
                  tuple(map(sum, zip(*(half[1] for half in halves)))))
 
 
-def _evaluate(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityResult:
+def evaluate_schedule(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityResult:
+    """Full-width evaluation of a schedule, edge `order[i]` at time i + 1,
+    or of a temporalisation, each run of equal labels firing as one: two
+    passes over n reach sets of n bits, refused by `check_reach_budget`."""
     endpoints, ends = _timeline(g, timing)
     reach = _propagate(g.node_count, _pairs(endpoints, ends), ends)
     # rev[u] = targets reachable from u
@@ -291,16 +292,6 @@ def _evaluate(g: Digraph, timing: Schedule | Temporalisation) -> ReachabilityRes
     rev = _propagate(g.node_count, _pairs(backwards, ends), ends)
     total, counts = _dual(sum(map(int.bit_count, reach)), tuple(map(int.bit_count, rev)))
     return ReachabilityResult(g.node_count, tuple(reach), counts, total)
-
-
-def evaluate_schedule(g: Digraph, s: Schedule) -> ReachabilityResult:
-    """Evaluate a schedule: edge `s.order[i]` appears at time i+1."""
-    return _evaluate(g, s)
-
-
-def evaluate_temporalisation(g: Digraph, t: Temporalisation) -> ReachabilityResult:
-    """Evaluate a temporalisation, processing distinct times in order."""
-    return _evaluate(g, t)
 
 
 def schedule_from_temporalisation(t: Temporalisation) -> Schedule:

@@ -29,7 +29,6 @@ from mret.generators import gen_fig3, gen_random_sc
 from mret.graphs import Digraph, Schedule, Temporalisation, format_digraph
 from mret.reachability import (
     evaluate_schedule,
-    evaluate_temporalisation,
     reachability_counts,
     total_reachability,
 )
@@ -444,7 +443,7 @@ def test_every_tile_width_equals_the_full_evaluation_and_the_oracle(case):
     n = g.node_count
     pairs = naive_reach_pairs(n, g.edges, times)
     want = len(pairs), tuple(sum(u == s for u, _ in pairs) for s in range(n))
-    full = reachability._evaluate(g, timing)
+    full = evaluate_schedule(g, timing)
     assert (full.total, full.per_source_counts) == want
     for tiles in range(1, n + 1):  # from full width to one source per tile
         with pytest.MonkeyPatch.context() as mp:
@@ -460,9 +459,9 @@ def test_odd_halves_on_a_larger_graph():
     g = gen_random_sc(301, 900, seed=4)
     schedule = Schedule(tuple(reversed(range(g.edge_count))))
     ties = Temporalisation(tuple(1 + i % 7 for i in range(g.edge_count)))
-    for timing, evaluate in ((schedule, evaluate_schedule), (ties, evaluate_temporalisation)):
+    for timing in (schedule, ties):
         with forking(True) as made:
-            assert total_reachability(g, timing) == evaluate(g, timing).total
+            assert total_reachability(g, timing) == evaluate_schedule(g, timing).total
         assert made
 
 
@@ -508,7 +507,7 @@ def test_full_evaluations_and_refusals_never_fork(monkeypatch):
     monkeypatch.setattr(forks, "may_fork", lambda: asked.append(1) or may_fork())
     with forking(True) as made:
         evaluate_schedule(RSC, Schedule(tuple(range(RSC.edge_count))))
-        evaluate_temporalisation(RSC, Temporalisation((1,) * RSC.edge_count))
+        evaluate_schedule(RSC, Temporalisation((1,) * RSC.edge_count))
         for evaluate in (total_reachability, reachability_counts):
             with pytest.raises(ValueError, match="not a permutation"):
                 evaluate(RSC, Schedule((0,)))

@@ -64,10 +64,8 @@ from mret.graphs import (
     parse_timing,
 )
 from mret.reachability import (
-    _evaluate,
     _propagate,
     evaluate_schedule,
-    evaluate_temporalisation,
     reachability_counts,
     schedule_from_temporalisation,
     total_reachability,
@@ -172,15 +170,15 @@ def test_reversal_duality_schedule(gs):
 def test_reversal_duality_temporalisation(gt):
     g, t = gt
     flipped = Temporalisation(tuple(5 - x for x in t.times))
-    rev = evaluate_temporalisation(reversed_graph(g), flipped)
-    assert rev.total == evaluate_temporalisation(g, t).total
+    rev = evaluate_schedule(reversed_graph(g), flipped)
+    assert rev.total == evaluate_schedule(g, t).total
 
 
 @check
 @given(digraphs(), st.randoms(use_true_random=False))
 def test_distinct_times_equal_the_schedule(g, rng):
     t = Temporalisation(tuple(rng.sample(range(1, 50), g.edge_count)))
-    assert evaluate_temporalisation(g, t) == evaluate_schedule(
+    assert evaluate_schedule(g, t) == evaluate_schedule(
         g, schedule_from_temporalisation(t)
     )
 
@@ -205,7 +203,7 @@ def test_total_agrees_across_entry_points_schedule(gs):
 @given(temporalised())
 def test_total_agrees_across_entry_points_temporalisation(gt):
     g, t = gt
-    res = evaluate_temporalisation(g, t)
+    res = evaluate_schedule(g, t)
     assert total_reachability(g, t) == res.total == sum(res.per_source_counts)
 
 
@@ -214,9 +212,10 @@ def test_total_agrees_across_entry_points_temporalisation(gt):
 def test_engine_matches_oracle_with_ties(gt):
     g, t = gt
     pairs = naive_reach_pairs(g.node_count, g.edges, t.times)
-    res = evaluate_temporalisation(g, t)
+    res = evaluate_schedule(g, t)
     assert res.total == len(pairs)
-    assert {(u, v) for u in range(g.node_count) for v in res.targets_reached(u)} == pairs
+    assert {(u, v) for u in range(g.node_count) for v in range(g.node_count)
+            if res.reaches(u, v)} == pairs
     # the reverse pass must keep the runs of equal times intact too
     assert list(res.per_source_counts) == [
         sum(1 for a, _ in pairs if a == u) for u in range(g.node_count)
@@ -704,9 +703,9 @@ def test_a_graph_evaluates_alike_on_every_parse_path(data, gt):
     assert list(built._endpoints) == [v for edge in g.edges for v in edge]
     s = Schedule(tuple(data.draw(st.permutations(range(g.edge_count)))))
     for timing in (s, t):
-        want = _evaluate(g, timing)
+        want = evaluate_schedule(g, timing)
         for h in graphs:
-            got = _evaluate(h, timing)
+            got = evaluate_schedule(h, timing)
             assert (got.total, got.per_source_counts) == (want.total, want.per_source_counts)
             assert total_reachability(h, timing) == want.total
             assert reachability_counts(h, timing) == (want.total, want.per_source_counts)

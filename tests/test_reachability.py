@@ -9,7 +9,6 @@ from mret.errors import ScaleLimitError
 from mret.graphs import Digraph, Schedule, Temporalisation
 from mret.reachability import (
     evaluate_schedule,
-    evaluate_temporalisation,
     reachability_counts,
     schedule_from_temporalisation,
     total_reachability,
@@ -40,9 +39,8 @@ def test_three_cycle_in_cycle_order():
 def test_path_reverse_order_blocks_chaining():
     res = evaluate_schedule(PATH3, Schedule((1, 0)))
     assert res.total == 5
-    assert res.targets_reached(0) == {0, 1}
-    assert res.targets_reached(1) == {1, 2}
-    assert res.targets_reached(2) == {2}
+    assert [{v for v in range(3) if res.reaches(u, v)} for u in range(3)] == [
+        {0, 1}, {1, 2}, {2}]
 
 
 def test_schedule_length_mismatch_rejected():
@@ -51,13 +49,13 @@ def test_schedule_length_mismatch_rejected():
 
 
 def test_equal_time_edges_do_not_chain():
-    res = evaluate_temporalisation(PATH3, Temporalisation((1, 1)))
+    res = evaluate_schedule(PATH3, Temporalisation((1, 1)))
     assert res.total == 5
     assert not res.reaches(0, 2)
 
 
 def test_strictly_increasing_times_chain():
-    res = evaluate_temporalisation(PATH3, Temporalisation((1, 2)))
+    res = evaluate_schedule(PATH3, Temporalisation((1, 2)))
     assert res.total == 6
     assert res.reaches(0, 2)
 
@@ -71,19 +69,19 @@ def test_distinct_labels_equal_schedule_semantics():
         labels = rng.sample(range(1, 100), m)
         t = Temporalisation(tuple(labels))
         s = schedule_from_temporalisation(t)
-        assert evaluate_temporalisation(g, t) == evaluate_schedule(g, s)
+        assert evaluate_schedule(g, t) == evaluate_schedule(g, s)
 
 
 def test_temporalisation_length_mismatch():
     with pytest.raises(ValueError, match="does not match"):
-        evaluate_temporalisation(PATH3, Temporalisation((1,)))
+        evaluate_schedule(PATH3, Temporalisation((1,)))
 
 
 def test_tie_break_is_stable_and_monotone():
     t = Temporalisation((1, 1))
     s = schedule_from_temporalisation(t)
     assert s.order == (0, 1)
-    assert evaluate_temporalisation(PATH3, t).total == 5
+    assert evaluate_schedule(PATH3, t).total == 5
     assert evaluate_schedule(PATH3, s).total == 6
 
 
@@ -99,7 +97,7 @@ def test_tie_break_never_decreases_reachability():
         g = Digraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
         t = Temporalisation(tuple(rng.randint(1, 3) for _ in range(m)))
         s = schedule_from_temporalisation(t)
-        assert evaluate_schedule(g, s).total >= evaluate_temporalisation(g, t).total
+        assert evaluate_schedule(g, s).total >= evaluate_schedule(g, t).total
 
 
 def test_reflexivity_and_empty_graph():
@@ -134,7 +132,7 @@ def test_order_only_dependence():
     g = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     a = Temporalisation((2, 5, 7, 11))
     b = Temporalisation((1, 2, 3, 4))
-    assert evaluate_temporalisation(g, a) == evaluate_temporalisation(g, b)
+    assert evaluate_schedule(g, a) == evaluate_schedule(g, b)
 
 
 def test_engine_matches_oracle_with_loops_and_parallel_edges():
@@ -173,17 +171,18 @@ def test_temporalisation_matches_oracle_with_ties():
         edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
         times = tuple(rng.randint(1, 3) for _ in range(m))
         g = Digraph(n, edges)
-        res = evaluate_temporalisation(g, Temporalisation(times))
+        res = evaluate_schedule(g, Temporalisation(times))
         assert res.total == len(naive_reach_pairs(n, edges, times))
 
 
 def test_result_reach_accessors_agree():
     res = evaluate_schedule(THREE_CYCLE, Schedule((0, 1, 2)))
     for u in range(3):
-        assert len(res.targets_reached(u)) == res.per_source_counts[u]
+        targets = {v for v in range(3) if res.reach_from[v] >> u & 1}
+        assert len(targets) == res.per_source_counts[u]
         for v in range(3):
-            assert res.reaches(u, v) == (v in res.targets_reached(u))
-    assert res.sources_reaching(0) == {0, 1, 2}
+            assert res.reaches(u, v) == (v in targets)
+    assert {u for u in range(3) if res.reaches(u, 0)} == {0, 1, 2}
 
 
 def test_forward_reverse_disagreement_raises(monkeypatch):
@@ -213,6 +212,17 @@ def test_c_ints_that_do_not_pair_into_8_byte_items_are_refused(monkeypatch):
             total_reachability(PATH3, timing)
 
 
+def test_a_timing_of_another_type_is_a_type_error(monkeypatch):
+    # refused by its type, before its length and the scale are checked
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 0)
+    monkeypatch.setattr(reachability, "EVAL_WORK_LIMIT", 0)
+    for evaluate in (evaluate_schedule, total_reachability, reachability_counts):
+        for timing, kind in (([0, 1, 2], "list"), ((0, 1), "tuple"), (None, "NoneType")):
+            with pytest.raises(TypeError, match=f"^a timing is a Schedule or a "
+                               f"Temporalisation, not {kind}$"):
+                evaluate(PATH3, timing)
+
+
 def test_total_reachability_is_the_forward_total():
     assert total_reachability(PATH3, Schedule((0, 1))) == 6
     assert total_reachability(PATH3, Schedule((1, 0))) == 5
@@ -237,12 +247,12 @@ def test_tiles_follow_the_node_count():
 def test_node_count_over_the_reach_budget_is_refused(monkeypatch):
     # the real budget admits n = 30,000 and refuses n = 10^6 (62 GB of bits)
     assert 30_000**2 <= reachability.REACH_BITS_LIMIT < 1_000_000**2
-    # the full-width evaluations still refuse n > 65,536, allocating nothing;
+    # the full-width evaluation still refuses n > 65,536, allocating nothing;
     # the tiled passes do not read the budget
     for timing in (Schedule(()), Temporalisation(())):
         assert total_reachability(Digraph(65_537, ()), timing) == 65_537
         with pytest.raises(ScaleLimitError, match="reach sets of 65537 nodes"):
-            reachability._evaluate(Digraph(65_537, ()), timing)
+            evaluate_schedule(Digraph(65_537, ()), timing)
     # a budget of 100 bits admits 10 nodes; refusing 11 allocates nothing
     monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 100)
     small = Digraph(10, ((0, 1),))
@@ -251,7 +261,7 @@ def test_node_count_over_the_reach_budget_is_refused(monkeypatch):
     with pytest.raises(ScaleLimitError, match="reach sets of 11 nodes"):
         evaluate_schedule(big, Schedule(()))
     with pytest.raises(ScaleLimitError):
-        evaluate_temporalisation(big, Temporalisation(()))
+        evaluate_schedule(big, Temporalisation(()))
     with pytest.raises(ScaleLimitError):
         solve_exact(big)
     assert total_reachability(big, Schedule(())) == 11

@@ -1,9 +1,11 @@
 """Checks on the package's own source code."""
 
 import ast
+from functools import reduce
 from pathlib import Path
 
 import mret
+import mret.cli
 
 
 def test_package_has_no_assert_statements():
@@ -45,3 +47,34 @@ def test_only_the_edge_table_parsers_and_the_reduction_build_unchecked_digraphs(
     ]
     assert callers == ["graphs.py:_parse_edge_table", "graphs.py:_parse_edge_table_by_line",
                        "reduction.py:build_instance"]
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # bench/*.py reads the package as `mret.<name>` chains, such as
+    # `mret.evaluate_schedule` or `mret.cli.main`: each must resolve.  The
+    # attribute names in tracing.wrap_targets' tuples are strings, not
+    # reads, and the tracer records a missing one
+    bench = Path(__file__).resolve().parents[1] / "bench"
+
+    def chain(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            names = chain(node.value)
+            return names and [*names, node.attr]
+        return []
+
+    reads = {
+        ".".join(names)
+        for path in sorted(bench.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and (names := chain(node))[0:1] == ["mret"]
+    }
+    assert "mret.evaluate_schedule" in reads and "mret.cli.main" in reads
+    missing = []
+    for read in sorted(reads):
+        try:
+            reduce(getattr, read.split(".")[1:], mret)
+        except AttributeError:
+            missing.append(read)
+    assert missing == []
