@@ -8,7 +8,8 @@ the method, the scale limits, the roots and strong connectivity once,
 then summarizes the greedy pairs (a fast heuristic built on residual
 breadth-first searches) or the exact pairs (out-trees enumerated with
 pruning up to a work limit, the small-scale ground truth) of its roots;
-a large greedy sweep forks one child for the second half of the roots.
+a large sweep forks one child for the second half of the roots, an
+exact one after searching its first root to estimate its work.
 `greedy_pair` and `exact_pair` search one root, `best_root` sweeps all.
 A pair holds each tree once, as an edge set and a depth map, and
 `check_pair` verifies both edge by edge in linear time.
@@ -26,9 +27,12 @@ never pick them.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import chain
+from operator import length_hint
 
 from . import forks
 from .errors import ScaleLimitError, as_int
@@ -41,11 +45,12 @@ GREEDY_RANDOM_ATTEMPTS = 6
 # of random-sc and fig3 graphs), so the limit stands for up to about two
 # minutes of sweep, or one when forked.
 GREEDY_SWEEP_WORK_LIMIT = 10**7
-# Work below which a greedy sweep stays in one process.  A fork, a pipe
+# Work below which a sweep stays in one process.  A fork, a pipe
 # and a reap cost a 20 MB process 1.7-2.1 ms and a 98 MB one 3.1 ms; at
 # the cheapest work measured, 0.14 us a unit on the fig3 windmills,
-# splitting a sweep this large in two saves up to 7 ms.  They cost a
-# 255 MB process 10.5 ms, so there a sweep near the threshold loses.
+# splitting a greedy sweep this large in two saves up to 7 ms.  They cost a
+# 255 MB process 10.5 ms, so there a sweep near the threshold loses.  An
+# exact sweep's estimated work breaks even near it too (BENCH_exact_fork.json).
 FORK_WORK_THRESHOLD = 10**5
 # Work of an exact pair sweep, visited out-trees * (nodes + edges).  A unit cost
 # 89-275 ns on a 2-CPU host (fig3 and random-sc sweeps): 4-14 s at the limit.
@@ -201,10 +206,11 @@ def _greedy_best(root: int, orders, bounds) -> ArborescencePair:
 
 def _root_search(
     g: Digraph, roots: list[int], method: str, seed: int, limit: int
-) -> Callable[[int], ArborescencePair]:
-    """The per-root pair search of a sweep over `roots`, after the checks
-    that `sweep_blocks` states, made once for the whole sweep; the greedy
-    attempt orders and span bounds are built once too."""
+) -> Callable[[int, Iterator[int]], ArborescencePair]:
+    """The pair search `search(root, visits)` of a sweep over `roots`, after
+    the checks that `sweep_blocks` states, made once for the whole sweep; an
+    exact search takes one of `visits` per visited out-tree, a greedy one
+    none.  The greedy attempt orders and span bounds are built once too."""
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown method {method!r}")
     work = len(roots) * (g.node_count + g.edge_count)
@@ -222,13 +228,18 @@ def _root_search(
     if method == "greedy":
         orders = _attempt_orders(g, seed)
         bounds = _span_bounds(g.out_adj, g.in_adj), _span_bounds(g.in_adj, g.out_adj)
-        return lambda root: _greedy_best(root, orders, bounds)
+        return lambda root, visits: _greedy_best(root, orders, bounds)
     limit = as_int(limit, "limit", least=0)
     if g.edge_count > limit:
         raise ScaleLimitError(f"exact pair search infeasible at this scale: "
                               f"{g.edge_count} edges exceed the limit of {limit}")
-    visits = iter(range(EXACT_PAIR_WORK_LIMIT // (g.node_count + g.edge_count)))  # one per visit
-    return lambda root: _exact_best(g, root, visits)
+    return lambda root, visits: _exact_best(g, root, visits)
+
+
+def _out_of_work(g: Digraph) -> ScaleLimitError:
+    return ScaleLimitError(f"exact pair search infeasible at this scale: its out-trees over "
+                           f"{g.node_count} nodes and {g.edge_count} edges pass the work "
+                           f"limit of {EXACT_PAIR_WORK_LIMIT} units")
 
 
 def sweep_blocks(
@@ -242,20 +253,41 @@ def sweep_blocks(
     (roots * (nodes + edges)), every root's range, that the graph has
     nodes and is strongly connected, and the exact edge `limit`; scale
     limits raise ScaleLimitError, the rest ValueError, and an exact sweep
-    raises ScaleLimitError too as soon as its visited out-trees * (nodes
-    + edges) pass EXACT_PAIR_WORK_LIMIT.  A greedy sweep then runs in one block,
-    or in two as `forks.fork_join` decides from its work and FORK_WORK_THRESHOLD;
-    a forked child sends back its block's summary with `marshal`, so `summarize`
-    returns ints, strings and tuples or lists of them.  Merged in order, the
-    blocks give the same result either way.
+    raises ScaleLimitError too when its visited out-trees * (nodes + edges)
+    pass EXACT_PAIR_WORK_LIMIT.  The sweep then runs in one block, or in
+    two as `forks.fork_join` decides from its work and FORK_WORK_THRESHOLD.
+    An exact sweep's work is estimated from its first root (the pilot),
+    searched first, as its visits * roots * (nodes + edges); each block of
+    the other roots gets the visits the pilot left, and the sweep is refused
+    if the blocks used more, as in one process.  A forked child sends
+    back its block's summary with `marshal`, so `summarize` returns ints,
+    strings and tuples or lists of them.  Merged in order, the blocks give
+    the same result either way.
     """
     roots = [as_int(root, "root") for root in roots]
     search = _root_search(g, roots, method, seed, limit)
-    if method != "greedy":  # an exact sweep's `visits` budget is one iterator over all its roots
-        return [summarize(map(search, roots))]
-    return forks.fork_join(lambda block: summarize(map(search, block)), roots,
-                           "greedy sweep of roots", len(roots) * (g.node_count + g.edge_count),
-                           FORK_WORK_THRESHOLD)
+    size = g.node_count + g.edge_count
+    budget = EXACT_PAIR_WORK_LIMIT // size  # visited out-trees over the whole sweep
+    visits = iter(range(budget))
+    pilot = [search(roots[0], visits)] if method == "exact" and roots else []
+    left, caller = length_hint(visits), os.getpid()
+
+    def run(block):  # a block's summary and its visits used, `left` + 1 if it ran out
+        own = iter(range(left))
+        pairs = map(lambda root: search(root, own), block)
+        if pilot and os.getpid() == caller:  # the pilot's pair opens the caller's block
+            pairs = chain([pilot.pop()], pairs)
+        try:
+            return summarize(pairs), left - length_hint(own)
+        except ScaleLimitError:  # a child's refusal comes back as its summary
+            return None, left + 1
+
+    work = len(roots) * size * (budget - left if pilot else 1)
+    blocks = forks.fork_join(run, roots[len(pilot):], f"{method} sweep of roots", work,
+                             FORK_WORK_THRESHOLD)
+    if sum(used for _, used in blocks) > left:  # the serial sweep would have run out too
+        raise _out_of_work(g)
+    return [summary for summary, _ in blocks]
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
@@ -296,9 +328,7 @@ def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePai
     in_tree, out_reach, banned = bfs_tree(rev, (root,)), g.node_count, set()  # strongly connected
     while True:
         if next(visits, None) is None:
-            raise ScaleLimitError(f"exact pair search infeasible at this scale: its out-trees "
-                                  f"over {g.node_count} nodes and {g.edge_count} edges pass the "
-                                  f"work limit of {EXACT_PAIR_WORK_LIMIT} units")
+            raise _out_of_work(g)
         in_size = len(in_tree[0])
         sizes = (min(len(depths), in_size), len(depths) + in_size)
         if best is None or sizes >= best[0]:

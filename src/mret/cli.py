@@ -319,7 +319,8 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("--method", choices=("exact", "greedy"), default="exact")
     p.add_argument("--root", type=int, default=None, help="single root (default: all)")
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=int, default=20, help="exact-method edge limit: a fast "
+                   "pre-check; the search's work limit is the real guard")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_astra)
 

@@ -1,5 +1,6 @@
-"""The one fork decision and one-child fork of the greedy root sweep and the
-engine's forward pass: the child runs the second half of the roots or sources."""
+"""The one fork decision and one-child fork of the greedy and exact root sweeps
+and the engine's forward pass: the child runs the second half of the roots or
+sources."""
 
 import marshal
 import os

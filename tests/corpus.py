@@ -11,12 +11,13 @@ case name, so a change that alters a result shows which case it alters.
 All-roots greedy sweeps (`solve --method arb`, `astra --method greedy`)
 run twice: once with `forks.may_fork` forced off, and once with it
 forced on and `astra.FORK_WORK_THRESHOLD` at 0, so that even the small
-sweeps here fork their second half.  Every `eval`, `convert` and
-`certify --schedule` case runs a second time, as `<name>/fork`, with
-`forks.may_fork` forced on, `reachability.FORK_BITS_THRESHOLD` at 0 and
-`reachability.TILE_BITS` at 1, so that the engine forks its second half
-of sources and runs each half one source per tile; a `/fork` case must
-answer as its own case does.
+sweeps here fork their second half.  Every `eval`, `convert`,
+`certify --schedule` and all-roots `astra --method exact` case runs a
+second time, as `<name>/fork`, with `forks.may_fork` forced on, both
+thresholds at 0 and `reachability.TILE_BITS` at 1, so that an exact
+sweep forks the second half of the roots after its first one, and the
+engine forks its second half of sources and runs each half one source
+per tile; a `/fork` case must answer as its own case does.
 
 Regenerate the digests after a change that alters results on purpose:
 
@@ -76,8 +77,8 @@ def write_inputs() -> dict[str, Digraph]:
 
 
 def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]]:
-    """(name, argv, fork) of every case; `fork` is None for commands that
-    never fork, else whether a greedy sweep or the engine may fork."""
+    """(name, argv, fork) of every case; `fork` is None for a case that
+    runs as the defaults decide, else whether a sweep or the engine may fork."""
     out: list[tuple[str, list[str], bool | None]] = []
 
     def add(name, argv, fork=None):
@@ -87,7 +88,7 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
         add(f"{name}/serial", argv, False)
         add(f"{name}/fork", argv, True)
 
-    def engine(name, argv):
+    def twin(name, argv):
         add(name, argv)
         add(f"{name}/fork", argv, True)
 
@@ -96,13 +97,13 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
     for n, extra, seed in RANDOM_SC:
         add(f"gen/random-sc/{n}_{extra}_{seed}",
             ["gen", "random-sc", "--n", str(n), "--extra", str(extra), "--seed", str(seed)])
-    engine("convert/tied", ["convert", "tied.tg"])
+    twin("convert/tied", ["convert", "tied.tg"])
     add("bounds/official_3_3", ["bounds", "--n", "3", "--m", "3"])
     add("bounds/override_2_5", ["bounds", "--n", "2", "--m", "5", "--k", "1", "--m-param", "2"])
     add("reduce/k1_m2", ["reduce", "f.cnf", "--k", "1", "--m-param", "2", "--out", "inst"])
     for bits in ("FTT", "TTT", "FFF", "101"):
         add(f"certify/assignment/{bits}", ["certify", "inst", "--assignment", bits])
-    engine("certify/schedule", ["certify", "inst", "--schedule", "inst.schedule"])
+    twin("certify/schedule", ["certify", "inst", "--schedule", "inst.schedule"])
     # K = 3 and M = 7: the b, d and e nodes come in twin classes of several members
     add("reduce/k3_m7", ["reduce", "f.cnf", "--k", "3", "--m-param", "7", "--out", "inst3"])
     for bits in ("FTT", "TTF", "FFT", "FFF"):
@@ -113,9 +114,9 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
         if stem in ("path3", "loop"):
             continue
         schedule, times = f"{stem}.schedule", f"{stem}.times"
-        engine(f"eval/{stem}/schedule", ["eval", name, schedule])
-        engine(f"eval/{stem}/times", ["eval", name, times, "--counts"])
-        engine(f"eval/{stem}/times/total", ["eval", name, times])
+        twin(f"eval/{stem}/schedule", ["eval", name, schedule])
+        twin(f"eval/{stem}/times", ["eval", name, times, "--counts"])
+        twin(f"eval/{stem}/times/total", ["eval", name, times])
         if m <= 10:
             add(f"solve/exact/{stem}", ["solve", name])
         if m <= 24:
@@ -130,7 +131,7 @@ def cases(graphs: dict[str, Digraph]) -> list[tuple[str, list[str], bool | None]
                                              "--seed", "3"])
         add(f"astra/greedy/{stem}/root0", ["astra", name, "--method", "greedy", "--root", "0"])
         if m <= 45:
-            add(f"astra/exact/{stem}", ["astra", name, "--limit", str(m)])
+            twin(f"astra/exact/{stem}", ["astra", name, "--limit", str(m)])
             for root in sorted({0, 2, g.node_count - 1}):
                 add(f"astra/exact/{stem}/root{root}",
                     ["astra", name, "--limit", str(m), "--root", str(root)])

@@ -25,7 +25,7 @@ def test_forked_cases_answer_as_their_serial_twins():
     forked = [name for name in want if name.endswith("/fork")]
     twins = {name: want.get(name.replace("/fork", "/serial"), want.get(name[:-len("/fork")]))
              for name in forked}
-    assert len(forked) == 182 and all(want[name] == twins[name] for name in forked)
+    assert len(forked) == 201 and all(want[name] == twins[name] for name in forked)
 
 
 def test_certify_assignment_cases_do_not_run_the_engine(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 """The fork protocol of `mret.forks`, through each of its callers, the
-greedy root sweep, the engine's forward pass and its forward and
-backward passes for per-source counts: forked, each answers as in one
-process, names a failing child's items, leaves no child behind, and
-stays in one process on every serial fallback."""
+greedy and exact root sweeps, the engine's forward pass and its forward
+and backward passes for per-source counts: forked, each answers as in
+one process, names a failing child's items, leaves no child behind, and
+stays in one process on every serial fallback.  A forked exact sweep
+also keeps the serial sweep's work budget: it refuses exactly when the
+serial sweep does, with the same message."""
 
 import _thread
 import contextlib
@@ -15,6 +17,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import length_hint
 from pathlib import Path
 
 import pytest
@@ -85,11 +88,20 @@ def arb_and_greedy(g, seed=0):
     return solve_arborescence(g, seed=seed).to_json(), best_root(g, "greedy", seed).to_json()
 
 
+def visits(g: Digraph, root: int) -> int:
+    """The out-trees that the exact pair search from `root` visits."""
+    budget = iter(range(10**9))
+    astra._exact_best(g, root, budget)
+    return 10**9 - length_hint(budget)
+
+
 @dataclass(frozen=True)
 class Caller:
     """A caller of `forks.fork_join`: `run()` does its job, whose
     per-item kernel is `module.<kernel>`, at `work` against
-    `module.<threshold>`; `child` names the child's items."""
+    `module.<threshold>`; `child` names the child's items, and `pilot`
+    tells the kernel call that this process makes before the fork
+    decision, if any, by its arguments."""
 
     module: object
     kernel: str
@@ -97,13 +109,22 @@ class Caller:
     work: int
     child: str
     run: Callable[[], object]
+    pilot: Callable[..., bool] = lambda *args: False
 
 
-FIG3 = gen_fig3(3)[0]  # 17 nodes
+FIG3 = gen_fig3(3)[0]  # 17 nodes, 22 edges
+SIZE = FIG3.node_count + FIG3.edge_count
+# the exact search's visited out-trees from each root of FIG3: 99 for the
+# pilot (root 0), 530 for the caller's half (roots 1-8) and 208 for the child's (9-16)
+FIG3_VISITS = [visits(FIG3, root) for root in range(FIG3.node_count)]
 RSC = gen_random_sc(12, 12, seed=2)
-SWEEP = Caller(astra, "_greedy_best", "FORK_WORK_THRESHOLD",
-               FIG3.node_count * (FIG3.node_count + FIG3.edge_count),
+SWEEP = Caller(astra, "_greedy_best", "FORK_WORK_THRESHOLD", FIG3.node_count * SIZE,
                "greedy sweep of roots 8-16", lambda: arb_and_greedy(FIG3))
+EXACT = Caller(astra, "_exact_best", "FORK_WORK_THRESHOLD",
+               FIG3_VISITS[0] * FIG3.node_count * SIZE,  # the estimate from the pilot
+               "exact sweep of roots 9-16",
+               lambda: best_root(FIG3, "exact", limit=FIG3.edge_count).to_json(),
+               lambda g, root, visits: root == 0)
 ENGINE = Caller(reachability, "_propagate", "FORK_BITS_THRESHOLD",
                 RSC.node_count * (RSC.node_count + RSC.edge_count), "forward pass of sources 6-11",
                 lambda: total_reachability(RSC, Schedule(tuple(range(RSC.edge_count)))))
@@ -114,19 +135,19 @@ COUNTS = Caller(reachability, "_propagate", "FORK_BITS_THRESHOLD",
                     tuple(1 + i % 3 for i in range(RSC.edge_count)))))
 
 
-@pytest.fixture(params=[SWEEP, ENGINE, COUNTS], ids=["sweep", "engine", "counts"])
+@pytest.fixture(params=[SWEEP, EXACT, ENGINE, COUNTS], ids=["sweep", "exact", "engine", "counts"])
 def caller(request):
     return request.param
 
 
 def plant(mp, caller: Caller, in_child=None, in_caller=None):
     """Call `in_child()` before each call of `caller`'s kernel in a forked
-    child, and `in_caller()` before each one in this process."""
+    child, and `in_caller()` before each one in this process but the pilot."""
     kernel, pid = getattr(caller.module, caller.kernel), os.getpid()
 
     def planted(*args):
         hook = in_caller if os.getpid() == pid else in_child
-        if hook is not None:
+        if hook is not None and not (hook is in_caller and caller.pilot(*args)):
             hook()
         return kernel(*args)
 
@@ -295,21 +316,34 @@ def test_a_failing_child_names_a_half_out_of_order(monkeypatch):
             sweep_blocks(FIG3, [5, 0, 7, 3, 9, 1, 2], list)
 
 
-def test_single_roots_and_exact_sweeps_stay_serial(monkeypatch):
+THRESHOLD = astra.FORK_WORK_THRESHOLD
+
+
+def test_single_roots_and_small_exact_sweeps_stay_serial(monkeypatch):
     g = gen_fig3(2)[0]
     asked = []
     may_fork = forks.may_fork
     monkeypatch.setattr(forks, "may_fork", lambda: asked.append(1) or may_fork())
     with forking(True) as made:
         solve_arborescence(g, root=3)
-        best_root(g, "exact", limit=g.edge_count)
         sweep_blocks(g, [4], lambda pairs: [pair.root for pair in pairs])
+        sweep_blocks(g, [4], lambda pairs: [pair.root for pair in pairs], "exact", limit=19)
         greedy_pair(g, 3)
         exact_pair(g, 3, limit=g.edge_count)
     assert not made and not asked
     with forking(False) as made:  # below the work threshold: no thread check either
         arb_and_greedy(g)
     assert not made and not asked
+    # an exact sweep forks from its estimate, the pilot's visits * roots *
+    # (nodes + edges), at the threshold in force: fig3 k = 1 and random-sc
+    # n = 5 + 4 estimate 13,365 and 350 units, fig3 k = 5 198,237
+    with forking(True) as made, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(astra, "FORK_WORK_THRESHOLD", THRESHOLD)
+        for small in (gen_fig3(1)[0], gen_random_sc(5, 4, seed=1)):
+            best_root(small, "exact", limit=small.edge_count)
+        assert not made and not asked
+        best_root(gen_fig3(5)[0], "exact", limit=28)
+        assert len(made) == 1 and asked
 
 
 def test_checks_run_once_before_any_fork(monkeypatch):
@@ -342,10 +376,13 @@ def gone(pid: int) -> bool:
 
 
 # what a killed caller runs, one kernel call per root or per source: the
-# child's half of 49 roots of fig3 k = 30, or of 50 sources, each tile
-# holding one source, would take about 5 s more at 0.1 s a call
+# child's half of 49 roots of fig3 k = 30 (the greedy sweep's or the exact
+# one's), or of 50 sources, each tile holding one source, would take about
+# 5 s more at 0.1 s a call
 KILLED_JOBS = {
     "sweep": ("astra", "_greedy_best", 'astra.best_root(gen_fig3(30)[0], "greedy")'),
+    "exact": ("astra", "_exact_best", "g = gen_fig3(30)[0]\n"
+              'astra.best_root(g, "exact", limit=g.edge_count)'),
     "engine": ("reachability", "_propagate", "g = gen_random_sc(100, 100, seed=1)\n"
                "reachability.total_reachability(g, Schedule(tuple(range(g.edge_count))))"),
 }
@@ -398,6 +435,97 @@ def slow(*args):
     while not gone(child):
         assert time.monotonic() < deadline, "the child outlived its killed caller"
         time.sleep(0.01)
+
+
+# -- the exact sweep
+
+def exact_outcome(g: Digraph, roots=None) -> object:
+    """The exact sweep's per-root min-sizes, or its refusal's message."""
+    roots = range(g.node_count) if roots is None else roots
+    try:
+        return sum(sweep_blocks(g, roots, lambda pairs: [pair.min_size for pair in pairs],
+                                "exact", limit=g.edge_count), [])
+    except ScaleLimitError as exc:
+        return str(exc)
+
+
+def out_of_work(g: Digraph) -> str:
+    return (f"exact pair search infeasible at this scale: its out-trees over {g.node_count} "
+            f"nodes and {g.edge_count} edges pass the work limit of "
+            f"{astra.EXACT_PAIR_WORK_LIMIT} units")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_forked_exact_sweeps_equal_the_serial_ones(data):
+    # the reports, and under a budget drawn up to twice the sweep's visits
+    # the verdicts and messages too
+    n = data.draw(st.integers(3, 10))
+    extra = data.draw(st.integers(0, min(12, n * (n - 2))))
+    g = gen_random_sc(n, extra, seed=data.draw(st.integers(0, 2**16)))
+    forked, serial = both_ways(lambda: best_root(g, "exact", limit=g.edge_count).to_json())
+    assert forked == serial
+    total = sum(visits(g, root) for root in range(n))
+    budget = data.draw(st.integers(1, 2 * total))
+    with pytest.MonkeyPatch.context() as mp:
+        size = n + g.edge_count
+        units = budget * size + data.draw(st.integers(0, size - 1))  # the visits are units // size
+        mp.setattr(astra, "EXACT_PAIR_WORK_LIMIT", units)
+        with forking(True):
+            forked = exact_outcome(g)
+        with forking(False):
+            serial = exact_outcome(g)
+        assert forked == serial == (out_of_work(g) if budget < total else
+                                    list(best_root(g, "exact", limit=g.edge_count).per_root))
+
+
+def test_forked_exact_sweeps_give_the_single_root_pairs():
+    def pairs(block):
+        return [(p.root, sorted(p.out_edges), sorted(p.in_edges), p.out_depths, p.in_depths)
+                for p in block]
+
+    for g in (FIG3, RSC):
+        roots = range(g.node_count)
+        forked, serial = both_ways(lambda: sweep_blocks(g, roots, pairs, "exact",
+                                                        limit=g.edge_count))
+        assert len(forked) == 2 and sum(forked, []) == sum(serial, []) == pairs(
+            exact_pair(g, root, limit=g.edge_count) for root in roots)
+
+
+def test_an_exact_sweep_whose_halves_fit_but_not_their_sum_refuses(monkeypatch, tmp_path, capsys):
+    # one visit fewer than the sweep's 837: 737 are left after the pilot, in
+    # which each half fits (530 and 208 visits) but not the two together
+    total, left = sum(FIG3_VISITS), sum(FIG3_VISITS) - 1 - FIG3_VISITS[0]
+    halves = sum(FIG3_VISITS[1:9]), sum(FIG3_VISITS[9:])
+    assert max(halves) <= left < sum(halves)
+    monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", (total - 1) * SIZE)
+    message = out_of_work(FIG3)
+    for on in (True, False):
+        with forking(on) as made:
+            assert exact_outcome(FIG3) == message
+        assert len(made) == on
+    (tmp_path / "fig3.digraph").write_text(format_digraph(FIG3))
+    with forking(True) as made:
+        assert main(["astra", str(tmp_path / "fig3.digraph"), "--limit", "22"]) == 2
+    assert made and capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_exact_sweep_at_its_exact_budget_equals_the_serial_one(monkeypatch):
+    want = best_root(FIG3, "exact", limit=FIG3.edge_count).to_json()
+    monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", sum(FIG3_VISITS) * SIZE)
+    assert both_ways(EXACT.run) == (want, want)
+
+
+def test_a_child_out_of_visits_refuses_as_the_serial_sweep(monkeypatch):
+    # roots 0, then 9, 10 in this process and 1, 2 in the child: the child's
+    # 232 visits alone pass the 231 left after the pilot, the caller's 47 do not
+    roots = [0, 9, 10, 1, 2]
+    monkeypatch.setattr(astra, "EXACT_PAIR_WORK_LIMIT", (FIG3_VISITS[0] + 231) * SIZE)
+    assert FIG3_VISITS[9] + FIG3_VISITS[10] <= 231 < FIG3_VISITS[1] + FIG3_VISITS[2]
+    for on in (True, False):
+        with forking(on) as made:
+            assert exact_outcome(FIG3, roots) == out_of_work(FIG3)
+        assert len(made) == on
 
 
 # -- the engine's forward pass
