@@ -9,7 +9,7 @@ then summarizes the greedy pairs (a fast heuristic built on residual
 breadth-first searches) or the exact pairs (out-trees enumerated with
 pruning up to a work limit, the small-scale ground truth) of its roots;
 a large sweep forks one child for the second half of the roots, an
-exact one after searching its first root to estimate its work.
+exact one after its first root's block, to estimate its work.
 `greedy_pair` and `exact_pair` search one root, `best_root` sweeps all.
 A pair holds each tree once, as an edge set and a depth map, and
 `check_pair` verifies both edge by edge in linear time.
@@ -27,11 +27,9 @@ never pick them.
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain
 from operator import length_hint
 
 from . import forks
@@ -236,10 +234,13 @@ def _root_search(
     return lambda root, visits: _exact_best(g, root, visits)
 
 
-def _out_of_work(g: Digraph) -> ScaleLimitError:
-    return ScaleLimitError(f"exact pair search infeasible at this scale: its out-trees over "
-                           f"{g.node_count} nodes and {g.edge_count} edges pass the work "
-                           f"limit of {EXACT_PAIR_WORK_LIMIT} units")
+class _OutOfWork(ScaleLimitError):
+    """An exact sweep's refusal past EXACT_PAIR_WORK_LIMIT, which a block carries back."""
+
+    def __init__(self, g: Digraph):
+        super().__init__(f"exact pair search infeasible at this scale: its out-trees over "
+                         f"{g.node_count} nodes and {g.edge_count} edges pass the work "
+                         f"limit of {EXACT_PAIR_WORK_LIMIT} units")
 
 
 def sweep_blocks(
@@ -256,10 +257,12 @@ def sweep_blocks(
     raises ScaleLimitError too when its visited out-trees * (nodes + edges)
     pass EXACT_PAIR_WORK_LIMIT.  The sweep then runs in one block, or in
     two as `forks.fork_join` decides from its work and FORK_WORK_THRESHOLD.
-    An exact sweep's work is estimated from its first root (the pilot),
-    searched first, as its visits * roots * (nodes + edges); each block of
-    the other roots gets the visits the pilot left, and the sweep is refused
-    if the blocks used more, as in one process.  A forked child sends
+    An exact sweep of two or more roots first searches the first (the
+    pilot), a block of its own, and estimates its work as the pilot's
+    visits * roots * (nodes + edges); each block of the other roots gets
+    the visits the pilot left, and the sweep is refused if the blocks used
+    more, as in one process.  That refusal is the only exception a block
+    carries back as its summary; any other propagates.  A forked child sends
     back its block's summary with `marshal`, so `summarize` returns ints,
     strings and tuples or lists of them.  Merged in order, the blocks give
     the same result either way.
@@ -269,25 +272,23 @@ def sweep_blocks(
     size = g.node_count + g.edge_count
     budget = EXACT_PAIR_WORK_LIMIT // size  # visited out-trees over the whole sweep
     visits = iter(range(budget))
-    pilot = [search(roots[0], visits)] if method == "exact" and roots else []
-    left, caller = length_hint(visits), os.getpid()
+    pilot = [search(roots[0], visits)] if method == "exact" and len(roots) > 1 else []
+    left = length_hint(visits)
 
     def run(block):  # a block's summary and its visits used, `left` + 1 if it ran out
         own = iter(range(left))
-        pairs = map(lambda root: search(root, own), block)
-        if pilot and os.getpid() == caller:  # the pilot's pair opens the caller's block
-            pairs = chain([pilot.pop()], pairs)
         try:
-            return summarize(pairs), left - length_hint(own)
-        except ScaleLimitError:  # a child's refusal comes back as its summary
+            return summarize(map(lambda root: search(root, own), block)), left - length_hint(own)
+        except _OutOfWork:  # a block's refusal comes back as its summary
             return None, left + 1
 
+    blocks = [summarize(iter(pilot))] if pilot else []
     work = len(roots) * size * (budget - left if pilot else 1)
-    blocks = forks.fork_join(run, roots[len(pilot):], f"{method} sweep of roots", work,
-                             FORK_WORK_THRESHOLD)
-    if sum(used for _, used in blocks) > left:  # the serial sweep would have run out too
-        raise _out_of_work(g)
-    return [summary for summary, _ in blocks]
+    summaries = forks.fork_join(run, roots[len(pilot):], f"{method} sweep of roots", work,
+                                FORK_WORK_THRESHOLD)
+    if sum(used for _, used in summaries) > left:  # the serial sweep would have run out too
+        raise _OutOfWork(g)
+    return blocks + [summary for summary, _ in summaries]
 
 
 def greedy_pair(g: Digraph, root: int, seed: int = 0) -> ArborescencePair:
@@ -328,7 +329,7 @@ def _exact_best(g: Digraph, root: int, visits: Iterator[int]) -> ArborescencePai
     in_tree, out_reach, banned = bfs_tree(rev, (root,)), g.node_count, set()  # strongly connected
     while True:
         if next(visits, None) is None:
-            raise _out_of_work(g)
+            raise _OutOfWork(g)
         in_size = len(in_tree[0])
         sizes = (min(len(depths), in_size), len(depths) + in_size)
         if best is None or sizes >= best[0]:

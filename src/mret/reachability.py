@@ -28,7 +28,8 @@ sources, one in a forked child) and sums their bit counts;
 for per-source counts, which must sum to the forward total.  Both are
 limited by their work, tiles * (n + m), not by n^2.  The full-width
 `evaluate_schedule`, of either kind of timing, holds n^2 bits in one
-process for its `ReachabilityResult` and keeps the n^2 limit.
+process for its `ReachabilityResult` and keeps the n^2 limit, which
+it checks once, as do the solvers: the kernel checks no limit.
 """
 
 from __future__ import annotations
@@ -109,26 +110,15 @@ def check_eval_work(node_count: int, edge_count: int, passes: int = 1) -> None:
         )
 
 
-def initial_reach(node_count: int) -> list[int]:
-    """Every node's reach set before any edge fires: just the node itself.
-
-    Checks `check_reach_budget` before allocating.
-    """
-    check_reach_budget(node_count)
-    return [1 << v for v in range(node_count)]
-
-
-def _propagate(node_count: int, pairs, ends=None, reach=None) -> list[int]:
-    """Reach sets after firing every edge of `pairs` in firing order.
+def _propagate(reach: list[int], pairs, ends=None) -> list[int]:
+    """The caller's seeded `reach` sets after firing every edge of `pairs` in firing order.
 
     With `ends` None, `pairs` is an iterable of (tail, head) pairs, each
     edge at its own time.  Otherwise `pairs` is a flat sequence of tail
     and head endpoints, and `ends` lists the exclusive end positions, in
     edges, of its runs of equal times: each run reads its tails and heads
-    as strided slices and every mask before its first merge.  The pass
-    starts from `initial_reach`, or merges into the given `reach` list.
+    as strided slices and every mask before its first merge.
     """
-    reach = initial_reach(node_count) if reach is None else reach
     if ends is None:
         for a, b in pairs:
             reach[b] |= reach[a]
@@ -226,7 +216,7 @@ def _tiled(g: Digraph, timing: Schedule | Temporalisation, counts: bool) -> list
         reach = [0] * n
         for bit, v in enumerate(tile):
             reach[v] = 1 << bit
-        return _propagate(n, _pairs(endpoints, ends), ends, reach)
+        return _propagate(reach, _pairs(endpoints, ends), ends)
 
     def forward(tile: list[int]) -> int:
         return sum(map(int.bit_count, tile_reach(tile, endpoints, ends)))
@@ -286,10 +276,10 @@ def evaluate_schedule(g: Digraph, timing: Schedule | Temporalisation) -> Reachab
     or of a temporalisation, each run of equal labels firing as one: two
     passes over n reach sets of n bits, refused by `check_reach_budget`."""
     endpoints, ends = _timeline(g, timing)
-    reach = _propagate(g.node_count, _pairs(endpoints, ends), ends)
+    reach = _propagate([1 << v for v in range(g.node_count)], _pairs(endpoints, ends), ends)
     # rev[u] = targets reachable from u
     backwards, ends = _backwards(endpoints, ends, g.edge_count)
-    rev = _propagate(g.node_count, _pairs(backwards, ends), ends)
+    rev = _propagate([1 << v for v in range(g.node_count)], _pairs(backwards, ends), ends)
     total, counts = _dual(sum(map(int.bit_count, reach)), tuple(map(int.bit_count, rev)))
     return ReachabilityResult(g.node_count, tuple(reach), counts, total)
 

@@ -295,7 +295,7 @@ def constructive_total(
         if tail in virtual:
             pairs.append((virtual[tail], head))
     reach = [0 if v in virtual else 1 << v for v in range(n + len(virtual))]
-    reach = _propagate(len(reach), pairs, reach=reach)
+    reach = _propagate(reach, pairs)
     singles = (1 << n) - 1  # a class's own bit never enters any reach set
 
     def member_count(v: int) -> int:

@@ -5,7 +5,9 @@ a `SolveResult`.  `solve_exact` is the small-scale ground truth;
 `solve_local` is seeded hill climbing over adjacent transpositions;
 `solve_arborescence` turns an edge-disjoint in/out arborescence pair
 into a schedule whose total is at least the product of the two spanned
-node counts.
+node counts.  Each seeds the kernel's full-width reach sets and checks
+their n^2 budget once, before its first evaluation (per block of roots
+for an arborescence sweep).
 
 Firing edge (a, b) merges the reach set of a into that of b, so two
 edges commute unless they chain (`dependent`).  Orders that differ only
@@ -33,7 +35,7 @@ from operator import itemgetter
 from .astra import ArborescencePair, sweep_blocks
 from .errors import ScaleLimitError, as_int
 from .graphs import Digraph, Schedule
-from .reachability import _propagate, initial_reach
+from .reachability import _propagate, check_reach_budget
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def _completion_bound(reach: list[int], rest: list[tuple[int, int]]) -> int:
     closure, bound, last = list(reach), -1, None
     while bound != last:
         last = bound
-        bound = sum(map(int.bit_count, _propagate(len(reach), rest, reach=closure)))
+        bound = sum(map(int.bit_count, _propagate(closure, rest)))
     return bound
 
 
@@ -127,7 +129,8 @@ def solve_exact(g: Digraph, limit: int = 10) -> SolveResult:
                               f"the limit of {limit}")
     edges = g.edges
     chains = [[dependent(e, f) for f in edges] for e in edges]
-    reach = initial_reach(g.node_count)
+    check_reach_budget(g.node_count)
+    reach = [1 << v for v in range(g.node_count)]
     total = g.node_count
     unused = [True] * m
     prefix: list[int] = []
@@ -179,6 +182,8 @@ def solve_local(
     if steps is not None:
         steps = as_int(steps, "steps", least=0)
     n, m, edges = g.node_count, g.edge_count, g.edges
+    check_reach_budget(n)
+    start = [1 << v for v in range(n)]  # the reach sets before any edge fires
     rng = random.Random(seed)
     best_total, best_order = -1, ()
     explored = 0
@@ -186,7 +191,7 @@ def solve_local(
         order = list(range(m))
         rng.shuffle(order)
         fired = [edges[ei] for ei in order]  # the edges of `order`, swapped with it
-        current = sum(map(int.bit_count, _propagate(n, fired)))
+        current = sum(map(int.bit_count, _propagate(start.copy(), fired)))
         explored += 1
         moves = 0
         while steps is None or moves < steps:
@@ -195,7 +200,7 @@ def solve_local(
                 if not dependent(fired[j], fired[j + 1]):
                     continue
                 fired[j], fired[j + 1] = fired[j + 1], fired[j]
-                total = sum(map(int.bit_count, _propagate(n, fired)))
+                total = sum(map(int.bit_count, _propagate(start.copy(), fired)))
                 explored += 1
                 fired[j], fired[j + 1] = fired[j + 1], fired[j]
                 if total > swap_total:
@@ -246,11 +251,11 @@ def solve_arborescence(
     roots, edges = range(g.node_count) if root is None else [root], g.edges
 
     def block_best(pairs: Iterator[ArborescencePair]):
-        best = None
+        check_reach_budget(g.node_count)
+        start, best = [1 << v for v in range(g.node_count)], None
         for pair in pairs:
             order = arborescence_order(g, pair)
-            total = sum(map(int.bit_count,
-                            _propagate(g.node_count, [edges[ei] for ei in order])))
+            total = sum(map(int.bit_count, _propagate(start.copy(), [edges[ei] for ei in order])))
             if best is None or total > best[0]:
                 best = (total, order, (len(pair.in_depths), len(pair.out_depths)))
         return best

@@ -370,6 +370,20 @@ def test_windmill_sweep_grows_one_residual_tree_per_root(monkeypatch):
     assert residual_roots == list(range(g.node_count))
 
 
+def test_a_sweep_reraises_what_summarize_raises():
+    # only the exact sweep's own work refusal is carried as a block's summary:
+    # a ScaleLimitError that `summarize` raises, in the pilot's block too, comes out as it is
+    error = ScaleLimitError("x")
+
+    def summarize(pairs):
+        raise error
+
+    for method in ("greedy", "exact"):
+        with pytest.raises(ScaleLimitError) as caught:
+            sweep_blocks(dcycle(4), range(4), summarize, method)
+        assert caught.value is error
+
+
 def test_exact_sweep_work_on_the_k10_windmill(monkeypatch):
     # the (min, sum) prune and the reuse of the parent's in-tree and reach
     # cut the BFS calls from 21,396 to 3,794; connectivity is checked once

@@ -213,6 +213,20 @@ def test_greedy_sweep_refuses_by_scale_before_connectivity(tmp_path, monkeypatch
                                             "units of work, over the limit of 14\n")
 
 
+def test_every_solver_refuses_by_the_reach_budget_it_passes(tmp_path, monkeypatch, capsys):
+    # a 3-cycle's reach sets take 9 bits: the arborescence solve, with one root
+    # or all, names that limit as the other solvers do, not the exact pair
+    # search's work limit
+    cycle = tmp_path / "c3.digraph"
+    cycle.write_text("3 3\n0 1\n1 2\n2 0\n")
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 8)
+    message = ("error: evaluation infeasible at this scale: the reach sets of 3 nodes take up "
+               "to 9 bits, over the limit of 8\n")
+    for flags in (["--method", "arb"], ["--method", "arb", "--root", "0"],
+                  ["--method", "local"], ["--method", "exact"]):
+        assert run_cli(["solve", str(cycle), *flags], capsys) == (2, "", message)
+
+
 def test_exact_pair_searches_past_900_nodes_and_refuses_by_work(tmp_path, monkeypatch, capsys):
     # a bidirected 1,200-node path nests its out-tree 1,200 deep and runs;
     # from node 0 the search visits 1,200 out-trees of 1,200 + 2,398 units

@@ -488,7 +488,10 @@ def test_forked_exact_sweeps_give_the_single_root_pairs():
         roots = range(g.node_count)
         forked, serial = both_ways(lambda: sweep_blocks(g, roots, pairs, "exact",
                                                         limit=g.edge_count))
-        assert len(forked) == 2 and sum(forked, []) == sum(serial, []) == pairs(
+        # the pilot, root 0, is a block of its own, before the halves of the other roots
+        assert len(forked) == 3 and len(serial) == 2 and forked[0] == serial[0] == pairs(
+            [exact_pair(g, 0, limit=g.edge_count)])
+        assert sum(forked, []) == sum(serial, []) == pairs(
             exact_pair(g, root, limit=g.edge_count) for root in roots)
 
 
@@ -598,9 +601,9 @@ def test_the_halves_count_their_own_sources(monkeypatch):
     seen = []
     propagate = reachability._propagate
 
-    def recorded(n, pairs, ends=None, reach=None):
+    def recorded(reach, pairs, ends=None):
         seen.append((os.getpid(), list(reach)))
-        return propagate(n, pairs, ends, reach)
+        return propagate(reach, pairs, ends)
 
     monkeypatch.setattr(reachability, "_propagate", recorded)
     with forking(True):

@@ -73,20 +73,18 @@ def test_digraph_roundtrip_canonical():
     assert parse_digraph(text) == g
 
 
-def test_bulk_parse_leaves_the_collector_as_it_found_it():
-    # a parsed digraph pauses the cyclic collector while it builds its edge
-    # tuples from its endpoint array, on first use
-    was = gc.isenabled()
-    try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            g = parse_digraph("3 3\n0 1\n1 2\n2 0\n")
-            h = parse_temporal_graph("2 2\n0 1 1\n1 0 2\n")[0]
-            assert "edges" not in vars(g) and "edges" not in vars(h)  # canonical files
-            assert g.edges == ((0, 1), (1, 2), (2, 0)) and h.edges == ((0, 1), (1, 0))
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
+def test_bulk_parse_leaves_the_collector_as_it_found_it(monkeypatch):
+    # a parsed digraph builds its edge tuples from its endpoint array on first
+    # use without touching the process-wide cyclic collector, which another
+    # thread may have switched meanwhile
+    switched = []
+    for name in ("disable", "enable"):
+        monkeypatch.setattr(gc, name, lambda name=name: switched.append(name))
+    g = parse_digraph("3 3\n0 1\n1 2\n2 0\n")
+    h = parse_temporal_graph("2 2\n0 1 1\n1 0 2\n")[0]
+    assert "edges" not in vars(g) and "edges" not in vars(h)  # canonical files
+    assert g.edges == ((0, 1), (1, 2), (2, 0)) and h.edges == ((0, 1), (1, 0))
+    assert switched == []
 
 
 def test_a_canonical_parse_builds_edge_tuples_only_on_demand(monkeypatch):

@@ -429,9 +429,16 @@ def check_span_bounds(g) -> int:
 @given(st.integers(3, 12), st.data())
 def test_span_bound_shortcut_equals_the_searched_bound(n, data):
     # dense graphs, where the row-longest node reaches every node and most
-    # roots take the shortcut; no benchmark graph reaches it
+    # roots take the shortcut, as they do on most seeds of arb-sweep's graph
     extra = data.draw(st.integers(n * (n - 2) // 2, n * (n - 2)))
     check_span_bounds(gen_random_sc(n, extra, seed=data.draw(st.integers(0, 2**16))))
+
+
+def test_span_bound_shortcut_fires_on_the_arb_sweep_graph():
+    # random-sc 200 + 600, as the arb-sweep benchmark solves it: the shortcut
+    # gives 397 of its 400 bounds at seed 0, 398 at seed 2 and none at seed 1;
+    # its precondition holds at 143 of seeds 0-199
+    assert check_span_bounds(gen_random_sc(200, 600, seed=0)) > 0
 
 
 def test_span_bound_shortcut_fires_at_every_root_of_the_complete_digraph():
@@ -561,7 +568,7 @@ def test_completion_bound_holds_for_every_completion(data):
     order = data.draw(st.permutations(range(g.edge_count)))
     k = data.draw(st.integers(0, g.edge_count))
     prefix, rest = order[:k], order[k:]
-    fired = _propagate(g.node_count, [g.edges[ei] for ei in prefix])
+    fired = _propagate([1 << v for v in range(g.node_count)], [g.edges[ei] for ei in prefix])
     bound = _completion_bound(fired, [g.edges[ei] for ei in rest])
     assert bound >= max(naive_total_for_schedule(g.node_count, g.edges, prefix + list(tail))
                         for tail in permutations(rest))

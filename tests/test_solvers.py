@@ -4,7 +4,7 @@ import pytest
 
 from oracle import oracle_best
 
-from mret import solvers
+from mret import reachability, solvers
 from mret.astra import greedy_pair
 from mret.errors import ScaleLimitError
 from mret.generators import gen_random_sc
@@ -166,11 +166,28 @@ def test_arborescence_certificate_bound():
 
 def test_arborescence_raises_below_certificate(monkeypatch):
     # a kernel that loses every merge leaves total = n = 2 < 2 * 2
-    monkeypatch.setattr(
-        solvers, "_propagate", lambda n, pairs, ends=None: [1 << v for v in range(n)]
-    )
+    monkeypatch.setattr(solvers, "_propagate", lambda reach, pairs, ends=None: reach)
     with pytest.raises(RuntimeError, match="below its certificate"):
         solve_arborescence(dcycle(2), root=0)
+
+
+def test_solvers_check_the_reach_budget_once_per_call(monkeypatch):
+    # not once per evaluation: local search evaluates each restart's start
+    # order and every swap of chaining edges
+    calls = []
+    check = reachability.check_reach_budget
+
+    def counted(node_count):
+        calls.append(node_count)
+        check(node_count)
+
+    monkeypatch.setattr(reachability, "check_reach_budget", counted)
+    monkeypatch.setattr(solvers, "check_reach_budget", counted, raising=False)
+    g = gen_random_sc(6, 4, seed=1)
+    for solve in (lambda: solve_local(g, seed=0, restarts=3), lambda: solve_exact(g),
+                  lambda: solve_arborescence(g)):
+        calls.clear()
+        assert solve().explored > 1 and calls == [6]
 
 
 def test_arborescence_order_structure():
