@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from operator import length_hint
 
 from . import forks
-from .errors import ScaleLimitError, as_int
+from .errors import Record, ScaleLimitError, as_int
 from .graphs import Digraph, bfs_tree, is_strongly_connected
 
 GREEDY_RANDOM_ATTEMPTS = 6
@@ -55,8 +54,7 @@ FORK_WORK_THRESHOLD = 10**5
 EXACT_PAIR_WORK_LIMIT = 5 * 10**7
 
 
-@dataclass(frozen=True)
-class ArborescencePair:
+class ArborescencePair(Record):
     """A common-root, edge-disjoint out/in arborescence pair.
 
     Each tree is stored once, as its edge set and its depth map: every
@@ -85,8 +83,7 @@ class ArborescencePair:
         return min(len(self.out_depths), len(self.in_depths))
 
 
-@dataclass(frozen=True)
-class AstraReport:
+class AstraReport(Record):
     """Per-root best min-sizes and the overall best root for one graph."""
 
     method: str

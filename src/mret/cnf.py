@@ -9,16 +9,14 @@ rather than rewritten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError, as_int
+from .errors import ParseError, Record, as_int
 
 Literal = tuple[int, bool]  # (0-based variable index, is-positive)
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     variable_count: int
     clauses: tuple[tuple[Literal, Literal, Literal], ...]
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
 
-from .errors import ParseError, ScaleLimitError, as_int
+from .errors import ParseError, Record, ScaleLimitError, as_int
 
 # nodes + edges of the largest instance built or generated: at the limit
 # `reduce` takes about 2.5 s and 0.6 GB; `certify` rebuilds the instance once
@@ -44,8 +43,7 @@ def _exact(values, kind) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Immutable digraph with stable, 0-based edge indices.
 
     Self-loops and parallel edges are representable (the file format
@@ -114,16 +112,15 @@ class Digraph:
         return [i for i, (a, b) in enumerate(self.edges) if a == b]
 
 
-# `edges` is a dataclass field, so the cached property that builds it on first
-# use joins the class after the decorator has made the field: a digraph that holds
-# `edges` shadows it.  A `__getattr__` would do as well, but it slows every
-# attribute read of every digraph.
+# `edges` is a field, and a value given it in the class body would be its default,
+# so the cached property that builds it on first use joins the class once the class
+# is made: a digraph that holds `edges` shadows it.  A `__getattr__` would do as
+# well, but it slows every attribute read of every digraph.
 Digraph.edges = cached_property(Digraph._edge_tuples)
 Digraph.edges.__set_name__(Digraph, "edges")
 
 
-@dataclass(frozen=True)
-class Temporalisation:
+class Temporalisation(Record):
     """One natural time label (>= 1) per edge index; ties allowed."""
 
     times: tuple[int, ...]
@@ -153,8 +150,7 @@ def _label_runs(times) -> tuple[list[int], list[int]]:
     return list(chain.from_iterable(runs.values())), list(accumulate(map(len, runs.values())))
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """A permutation of edge indices: position in `order` is the edge's time."""
 
     order: tuple[int, ...]

@@ -35,12 +35,11 @@ it checks once, as do the solvers: the kernel checks no limit.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import islice, pairwise
 from operator import add
 
 from . import forks
-from .errors import ScaleLimitError
+from .errors import Record, ScaleLimitError
 from .graphs import Digraph, Schedule, Temporalisation, _label_runs
 
 # The reach sets of n nodes grow to n*n bits.  Up to this many the full-width
@@ -67,8 +66,7 @@ FORK_BITS_THRESHOLD = 2 * 10**9
 TILE_BITS = 1 << 28
 
 
-@dataclass(frozen=True)
-class ReachabilityResult:
+class ReachabilityResult(Record):
     """Full reachability picture of one evaluated temporal graph, in
     which a temporalisation fires each run of equal labels as one.
 

@@ -35,14 +35,13 @@ manifest names the formula, so `load_instance` rebuilds from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .cnf import CnfFormula, format_dimacs, parse_dimacs
-from .errors import ParseError, as_int, parse_file
+from .errors import ParseError, Record, as_int, parse_file
 from .graphs import (
     Digraph,
     Schedule,
@@ -58,8 +57,7 @@ from .graphs import (
 from .reachability import _propagate, check_eval_work, total_reachability
 
 
-@dataclass(frozen=True)
-class ReductionParams:
+class ReductionParams(Record):
     n: int
     m: int
     K: int
@@ -84,8 +82,8 @@ class ReductionParams:
         """Official sizes K = 91nm and M = (H_size+5)^2 + 1 for n variables
         and m clauses, except where K or M is given."""
         p = cls(n, m, 1, 1)
-        p = replace(p, K=91 * p.n * p.m if K is None else K)
-        return replace(p, M=(p.h_size + 5) ** 2 + 1 if M is None else M)
+        p = cls(p.n, p.m, 91 * p.n * p.m if K is None else K, 1)
+        return cls(p.n, p.m, p.K, (p.h_size + 5) ** 2 + 1 if M is None else M)
 
     @property
     def node_count(self) -> int:
@@ -172,8 +170,7 @@ def _layout(p: ReductionParams):
     return tuple(roles), hubs, b, gadgets, clauses
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(Record):
     digraph: Digraph
     roles: tuple[str, ...]
     params: ReductionParams

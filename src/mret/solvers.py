@@ -6,8 +6,8 @@ a `SolveResult`.  `solve_exact` is the small-scale ground truth;
 `solve_arborescence` turns an edge-disjoint in/out arborescence pair
 into a schedule whose total is at least the product of the two spanned
 node counts.  Each seeds the kernel's full-width reach sets and checks
-their n^2 budget once, before its first evaluation (per block of roots
-for an arborescence sweep).
+their n^2 budget once, before its first evaluation (for an arborescence
+sweep, before the sweep's set-up).
 
 Firing edge (a, b) merges the reach set of a into that of b, so two
 edges commute unless they chain (`dependent`).  Orders that differ only
@@ -28,18 +28,16 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
 from .astra import ArborescencePair, sweep_blocks
-from .errors import ScaleLimitError, as_int
+from .errors import Record, ScaleLimitError, as_int
 from .graphs import Digraph, Schedule
 from .reachability import _propagate, check_reach_budget
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Best schedule found by one solver run.
 
     `explored` counts evaluated schedules: the commutation classes the
@@ -248,10 +246,10 @@ def solve_arborescence(
     and the result is the same whether the sweep forked or not.
     """
     _reject_self_loops(g)
+    check_reach_budget(g.node_count)
     roots, edges = range(g.node_count) if root is None else [root], g.edges
 
     def block_best(pairs: Iterator[ArborescencePair]):
-        check_reach_budget(g.node_count)
         start, best = [1 << v for v in range(g.node_count)], None
         for pair in pairs:
             order = arborescence_order(g, pair)

@@ -1,6 +1,5 @@
 """Arborescence-pair searches against the exhaustive labeling oracle."""
 
-import dataclasses
 import sys
 import time
 
@@ -195,28 +194,26 @@ def test_check_pair_catches_violations():
     g = dcycle(4)
     pair = exact_pair(g, 0)
 
-    shared = dataclasses.replace(pair, in_edges=pair.in_edges | set(pair.out_edges))
+    shared = ArborescencePair(pair.root, pair.out_edges, pair.in_edges | set(pair.out_edges),
+                              pair.out_depths, pair.in_depths)
     with pytest.raises(ValueError, match="share"):
         check_pair(g, shared)
 
-    rootless = dataclasses.replace(
-        pair, in_depths={v: d for v, d in pair.in_depths.items() if v != 0}
-    )
+    rootless = ArborescencePair(pair.root, pair.out_edges, pair.in_edges, pair.out_depths,
+                                {v: d for v, d in pair.in_depths.items() if v != 0})
     with pytest.raises(ValueError, match="root"):
         check_pair(g, rootless)
 
-    off_by_one = dataclasses.replace(
-        pair, out_depths={v: d + (v != 0) for v, d in pair.out_depths.items()}
-    )
+    off_by_one = ArborescencePair(pair.root, pair.out_edges, pair.in_edges,
+                                  {v: d + (v != 0) for v, d in pair.out_depths.items()},
+                                  pair.in_depths)
     with pytest.raises(ValueError, match="depth"):
         check_pair(g, off_by_one)
 
     two_parents = Digraph(3, ((0, 1), (2, 1), (1, 2), (1, 0)))
-    bad = dataclasses.replace(
-        exact_pair(two_parents, 0),
-        out_edges=frozenset({0, 1}),
-        out_depths={0: 0, 1: 1, 2: 1},
-    )
+    found = exact_pair(two_parents, 0)
+    bad = ArborescencePair(found.root, frozenset({0, 1}), found.in_edges, {0: 0, 1: 1, 2: 1},
+                           found.in_depths)
     with pytest.raises(ValueError):
         check_pair(two_parents, bad)
 

@@ -13,7 +13,6 @@ solvers are compared, since they refuse self-loops.
 """
 
 import copy
-import dataclasses
 import json
 import pickle
 import tempfile
@@ -42,7 +41,7 @@ from oracle import (
 )
 
 from mret import astra, reduction
-from mret.astra import check_pair, exact_pair, greedy_pair, sweep_blocks
+from mret.astra import ArborescencePair, check_pair, exact_pair, greedy_pair, sweep_blocks
 from mret.cnf import CnfFormula, format_dimacs
 from mret.errors import ParseError
 from mret.generators import gen_fig3, gen_random_sc
@@ -519,10 +518,8 @@ def corrupted_pairs(draw):
         if kind == "depth":
             depths[draw(node)] = draw(depth)
     (out_edges, out_depths), (in_edges, in_depths) = trees[False], trees[True]
-    return g, dataclasses.replace(
-        pair, out_edges=frozenset(out_edges), in_edges=frozenset(in_edges),
-        out_depths=out_depths, in_depths=in_depths,
-    )
+    return g, ArborescencePair(pair.root, frozenset(out_edges), frozenset(in_edges),
+                               out_depths, in_depths)
 
 
 @settings(check, max_examples=400)

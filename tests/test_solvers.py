@@ -4,7 +4,7 @@ import pytest
 
 from oracle import oracle_best
 
-from mret import reachability, solvers
+from mret import astra, reachability, solvers
 from mret.astra import greedy_pair
 from mret.errors import ScaleLimitError
 from mret.generators import gen_random_sc
@@ -188,6 +188,19 @@ def test_solvers_check_the_reach_budget_once_per_call(monkeypatch):
                   lambda: solve_arborescence(g)):
         calls.clear()
         assert solve().explored > 1 and calls == [6]
+
+
+def test_arborescence_refuses_by_the_reach_budget_before_its_sweep_set_up(monkeypatch):
+    # the budget is checked before the sweep builds its attempt orders and
+    # span bounds, so it also comes before the strong-connectivity check
+    def unreachable(*args):
+        raise AssertionError("the sweep was set up")
+
+    monkeypatch.setattr(reachability, "REACH_BITS_LIMIT", 8)
+    monkeypatch.setattr(astra, "_attempt_orders", unreachable)
+    for g, root in ((dcycle(3), None), (dcycle(3), 0), (Digraph(3, ((0, 1), (1, 2))), None)):
+        with pytest.raises(ScaleLimitError, match="reach sets of 3 nodes take up to 9 bits"):
+            solve_arborescence(g, root=root)
 
 
 def test_arborescence_order_structure():

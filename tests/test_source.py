@@ -1,6 +1,8 @@
 """Checks on the package's own source code."""
 
 import ast
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -18,6 +20,19 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every `mret` invocation is a fresh process that imports the whole
+    # package: `dataclasses` and the `inspect` it imports took more than half
+    # of that import's time, so the records derive from `errors.Record` instead
+    src = str(Path(mret.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "before = set(sys.modules); import mret.cli; print(*set(sys.modules) - before)", src],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert "mret.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 def test_only_forks_decides_to_fork():
