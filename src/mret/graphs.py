@@ -3,12 +3,12 @@
 A `Digraph` is an immutable directed graph whose edges keep the index
 they had in the input: edge i is the i-th line of the file and is never
 reordered.  Every other type in the package refers to edges through
-these indices.  A digraph read from a file in the canonical layout
-holds them as one flat array of endpoints and builds its tuple of
-(tail, head) pairs only when first asked for it.  Time is attached to
-edges either as a `Temporalisation` (one natural label per edge, ties
-allowed) or as a `Schedule` (a permutation of the edge indices, i.e.
-the canonical all-distinct temporalisation).
+these indices.  A digraph read from a file in the canonical layout, or
+built as a hardness instance, holds them as one flat array of endpoints
+and builds its tuple of (tail, head) pairs only when first asked for
+it.  Time is attached to edges either as a `Temporalisation` (one
+natural label per edge, ties allowed) or as a `Schedule` (a permutation
+of the edge indices, i.e. the canonical all-distinct temporalisation).
 
 File formats (UTF-8, LF line endings; writers emit the canonical form
 with single spaces and no trailing whitespace):
@@ -33,8 +33,9 @@ from pathlib import Path
 
 from .errors import ParseError, Record, ScaleLimitError, as_int
 
-# nodes + edges of the largest instance built or generated: at the limit
-# `reduce` takes about 2.5 s and 0.6 GB; `certify` rebuilds the instance once
+# nodes + edges of the largest instance built or generated: near the limit
+# `reduce` takes about 2 s and 0.26 GB, and `certify`, which rebuilds the
+# instance once, about 2 s and 0.28 GB
 INSTANCE_SIZE_LIMIT = 4 * 10**6
 
 
@@ -49,9 +50,10 @@ class Digraph(Record):
     Self-loops and parallel edges are representable (the file format
     allows them); solvers and the reduction reject self-loops at their
     own boundaries.  A digraph holds its edges as the `edges` tuple of
-    (tail, head) pairs, as the `_endpoints` array, or both: the canonical
-    parse stores only the array, and each is built from the other on
-    first use and kept.  Equality, hashing and repr read `edges`.
+    (tail, head) pairs, as the `_endpoints` array, or both: a canonical
+    parse, like an instance built by `reduction.build_instance`, stores
+    only the array, and each is built from the other on first use and
+    kept.  Equality, hashing and repr read `edges`.
     """
 
     node_count: int
@@ -88,7 +90,8 @@ class Digraph(Record):
     @cached_property
     def _endpoints(self) -> array:
         """The tail and head of every edge in index order, flat in one
-        `array` of C ints; the canonical parse stores only this."""
+        `array` of C ints; the canonical parse and `build_instance` store
+        only this."""
         return array("i", chain.from_iterable(self.edges))
 
     @cached_property
@@ -313,9 +316,26 @@ def header_counts(text: str) -> tuple[int, int] | None:
     return n, m
 
 
+# edges per piece of `format_digraph`'s text
+_FORMAT_CHUNK = 2048
+_FORMAT_LINES = "%d %d\n" * _FORMAT_CHUNK
+
+
 def format_digraph(g: Digraph) -> str:
-    body = "%d %d\n" * g.edge_count % tuple(chain.from_iterable(g.edges))
-    return f"{g.node_count} {g.edge_count}\n{body}"
+    """The canonical digraph file text of `g`, formatted `_FORMAT_CHUNK`
+    edges at a time from `edges` if the digraph holds them and from
+    `_endpoints` otherwise, so that neither the other form nor one tuple
+    of all 2m ends is built."""
+    m, edges = g.edge_count, vars(g).get("edges")
+    if edges is None:
+        ends = g._endpoints
+        chunks = (tuple(ends[i:i + 2 * _FORMAT_CHUNK]) for i in range(0, 2 * m, 2 * _FORMAT_CHUNK))
+    else:
+        chunks = (tuple(chain.from_iterable(edges[i:i + _FORMAT_CHUNK]))
+                  for i in range(0, m, _FORMAT_CHUNK))
+    # "%d %d\n" is three characters per end
+    body = (_FORMAT_LINES[:3 * len(chunk)] % chunk for chunk in chunks)
+    return "".join(chain((f"{g.node_count} {m}\n",), body))
 
 
 def parse_temporal_graph(text: str) -> tuple[Digraph, Temporalisation]:

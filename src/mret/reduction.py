@@ -35,6 +35,7 @@ manifest names the formula, so `load_instance` rebuilds from it.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -192,39 +193,48 @@ def build_instance(
 ) -> ReductionInstance:
     params = ReductionParams.official_for(f.variable_count, f.clause_count, k_override, m_override)
     roles, (u1, u2, u3, u4), b, gadgets, clauses = _layout(params)
-    edges: list[tuple[int, int]] = []
+    ends = array("i")  # the tail and head of every edge, flat in emission order
     phases: list[list[range]] = [[] for _ in range(11)]
 
-    def emit(phase: int, pairs: list[tuple[int, int]]) -> None:
-        start = len(edges)
-        edges.extend(pairs)
-        phases[phase].append(range(start, len(edges)))
+    def emit(phase: int, tails, heads) -> None:
+        """Append the edges (tails[i], heads[i]) as one run of `phase`; a
+        lone int on one side is that node in every edge."""
+        count = len(heads) if isinstance(tails, int) else len(tails)
+        block = array("i", [0]) * (2 * count)
+        for side, nodes in enumerate((tails, heads)):
+            column = array("i", [nodes]) * count if isinstance(nodes, int) else array("i", nodes)
+            block[side::2] = column
+        start = len(ends) >> 1
+        ends.extend(block)
+        phases[phase].append(range(start, start + count))
 
     for t1, t2, f1, f2 in gadgets:
-        emit(5, [(t1, f2), (f2, f1), (f1, t2), (t2, t1)])
+        emit(5, (t1, f2, f1, t2), (f2, f1, t2, t1))
     for (c1, c2, _, _), clause in zip(clauses, f.clauses):
         for v, positive in clause:
             t1, t2, f1, f2 = gadgets[v]
             into, out = (t1, t2) if positive else (f1, f2)
-            emit(4, [(c1, into)])
-            emit(6, [(out, c2)])
+            emit(4, c1, (into,))
+            emit(6, out, (c2,))
     for c1, own_c2, _, _ in clauses:
-        emit(4, [(c1, c2) for _, c2, _, _ in clauses if c2 != own_c2])
+        emit(4, c1, [c2 for _, c2, _, _ in clauses if c2 != own_c2])
     for c1, c2, d, e in clauses:
-        emit(3, [(x, c1) for x in d])
-        emit(7, [(c2, x) for x in e])
-    emit(0, [(x, u1) for x in b])
-    emit(1, [(u1, u2)])
-    emit(2, [(u2, x) for _, _, d, _ in clauses for x in d])
-    emit(8, [(x, u3) for _, _, _, e in clauses for x in e])
-    emit(9, [(u3, u4)])
-    emit(10, [(u4, x) for x in b])
+        emit(3, d, c1)
+        emit(7, c2, e)
+    b = array("i", b)  # both block groups read it; an array copies faster than a range
+    emit(0, b, u1)
+    emit(1, u1, (u2,))
+    emit(2, u2, [x for _, _, d, _ in clauses for x in d])
+    emit(8, [x for _, _, _, e in clauses for x in e], u3)
+    emit(9, u3, (u4,))
+    emit(10, u4, b)
 
-    if (len(edges), len(roles)) != (params.edge_count, params.node_count):
-        raise RuntimeError(f"built {len(edges)} edges and {len(roles)} nodes, {params} "
+    edge_count = len(ends) >> 1
+    if (edge_count, len(roles)) != (params.edge_count, params.node_count):
+        raise RuntimeError(f"built {edge_count} edges and {len(roles)} nodes, {params} "
                            f"needs {params.edge_count} and {params.node_count}")
     # every end is an id that `_layout` handed out, so the checks of Digraph hold
-    g = _trusted_digraph(len(roles), tuple(edges))
+    g = _trusted_digraph(len(roles), endpoints=ends)
     bounds = (lower_bound(params), upper_bound_one(params), upper_bound_two(params))
     return ReductionInstance(g, roles, params, f, bounds, tuple(map(tuple, phases)))
 
@@ -285,9 +295,9 @@ def constructive_total(
     # this order: b's (weight M), then every d_j's and e_j's (weight K)
     twins = [b, *(x for _, _, d, e in clauses for x in (*d, *e))]
     virtual = {c: n + i for i, c in enumerate(twins)}
-    edges, pairs = classes.digraph.edges, []
+    ends, pairs = classes.digraph._endpoints, []
     for ei in order:
-        tail, head = edge = edges[ei]
+        tail, head = edge = ends[2 * ei], ends[2 * ei + 1]
         pairs.append(edge)
         if tail in virtual:
             pairs.append((virtual[tail], head))

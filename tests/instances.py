@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cached_property
 
-from mret import reduction
+from mret import graphs, reduction
 from mret.cnf import CnfFormula, format_dimacs
+from mret.graphs import Digraph
 from mret.reduction import ReductionParams
 
 # (x1 or x2 or x3) and (not x1 or x2 or x3) and (not x1 or not x2 or not x3)
@@ -81,3 +83,26 @@ def record_builds(monkeypatch) -> list[tuple[int | None, int | None]]:
     monkeypatch.setattr(reduction, "parse_digraph", refuse_to_parse)
     monkeypatch.setattr(reduction, "parse_roles", refuse_to_parse)
     return builds
+
+
+def refuse_edge_tuples(monkeypatch) -> None:
+    """Make every way of building a digraph's edge tuples raise
+    AssertionError: the lazy `Digraph.edges`, the checked constructor, and
+    `_trusted_digraph` given `edges`, by either module that calls it.  A
+    digraph that already holds `edges` still reads them."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge tuples built")
+
+    def endpoints_only(node_count, edges=None, endpoints=None):
+        if edges is not None:
+            refuse()
+        return trusted(node_count, endpoints=endpoints)
+
+    trusted = graphs._trusted_digraph
+    lazy = cached_property(refuse)
+    lazy.__set_name__(Digraph, "edges")
+    monkeypatch.setattr(Digraph, "edges", lazy)
+    monkeypatch.setattr(Digraph, "__post_init__", refuse)
+    for module in (graphs, reduction):
+        monkeypatch.setattr(module, "_trusted_digraph", endpoints_only)

@@ -127,6 +127,51 @@ def brute_force_satisfying_assignments(clauses, n: int) -> list[tuple[bool, ...]
     return out
 
 
+def reduction_reference(clauses, n: int, K: int, M: int):
+    """(node count, edges, phases) of the hardness instance of a strict
+    3-CNF given as ((var, positive), ...) clauses over variables 0..n-1,
+    built as the reduction's docstring lays it out, one (tail, head) tuple
+    per edge.  Ids: u1..u4, then b_1..b_M, then per variable t^1, t^2,
+    f^1, f^2, then per clause c^1, c^2, d^1..d^K, e^1..e^K.  `phases`
+    holds, per schedule phase, the range of edge indices of each group in
+    emission order."""
+    u1, u2, u3, u4 = range(4)
+    b = range(4, 4 + M)
+    gadgets = [range(4 + M + 4 * i, 8 + M + 4 * i) for i in range(n)]
+    first = 4 + M + 4 * n
+    clause_ids = []
+    for j in range(len(clauses)):
+        c1 = first + j * (2 + 2 * K)
+        clause_ids.append((c1, c1 + 1, range(c1 + 2, c1 + 2 + K),
+                           range(c1 + 2 + K, c1 + 2 + 2 * K)))
+    edges, phases = [], [[] for _ in range(11)]
+
+    def emit(phase, pairs):
+        phases[phase].append(range(len(edges), len(edges) + len(pairs)))
+        edges.extend(pairs)
+
+    for t1, t2, f1, f2 in gadgets:
+        emit(5, [(t1, f2), (f2, f1), (f1, t2), (t2, t1)])
+    for (c1, c2, _, _), clause in zip(clause_ids, clauses):
+        for v, positive in clause:
+            t1, t2, f1, f2 = gadgets[v]
+            emit(4, [(c1, t1 if positive else f1)])
+            emit(6, [(t2 if positive else f2, c2)])
+    for c1, own_c2, _, _ in clause_ids:
+        emit(4, [(c1, c2) for _, c2, _, _ in clause_ids if c2 != own_c2])
+    for c1, c2, d, e in clause_ids:
+        emit(3, [(x, c1) for x in d])
+        emit(7, [(c2, x) for x in e])
+    emit(0, [(x, u1) for x in b])
+    emit(1, [(u1, u2)])
+    emit(2, [(u2, x) for _, _, d, _ in clause_ids for x in d])
+    emit(8, [(x, u3) for _, _, _, e in clause_ids for x in e])
+    emit(9, [(u3, u4)])
+    emit(10, [(u4, x) for x in b])
+    node_count = first + len(clauses) * (2 + 2 * K)
+    return node_count, tuple(edges), tuple(map(tuple, phases))
+
+
 def _is_out_arborescence(root, edge_pairs) -> set[int] | None:
     """Spanned node set if the edges form an out-arborescence at root, else None."""
     if not edge_pairs:

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from instances import oversized_instance_texts, planted_formula, record_builds, refuse_to_build
+from instances import (
+    EXAMPLE,
+    oversized_instance_texts,
+    planted_formula,
+    record_builds,
+    refuse_edge_tuples,
+    refuse_to_build,
+)
 
 import mret
 from mret import astra, graphs, reachability, reduction
@@ -692,6 +699,45 @@ def test_convert_round_trip(tmp_path, capsys):
     assert (tmp_path / "conv.schedule").read_text() == "0 1 2\n"
     embedded = run_json(["convert", str(tg)], capsys)
     assert embedded["result"]["schedule"] == [0, 1, 2]
+
+
+def test_convert_builds_no_edge_tuples(tmp_path, monkeypatch, capsys):
+    # a canonical temporal-graph file is parsed into its endpoint array,
+    # evaluated and written back out without a (tail, head) tuple
+    g = mret.gen_random_sc(40, 80, seed=2)
+    times = mret.Temporalisation(tuple(1 + i % 7 for i in range(g.edge_count)))
+    tg = tmp_path / "tg.txt"
+    tg.write_text(mret.format_temporal_graph(g, times))
+    digraph = "".join([f"40 {g.edge_count}\n", *(f"{a} {b}\n" for a, b in g.edges)])
+    order = sorted(range(g.edge_count), key=times.times.__getitem__)
+    total = mret.total_reachability(g, times)
+    refuse_edge_tuples(monkeypatch)
+    prefix = tmp_path / "conv"
+    written = run_json(["convert", str(tg), "--out", str(prefix)], capsys)["result"]
+    assert written == {"node_count": 40, "edge_count": g.edge_count, "total": total}
+    assert (tmp_path / "conv.digraph").read_text() == digraph
+    assert (tmp_path / "conv.schedule").read_text() == " ".join(map(str, order)) + "\n"
+    embedded = run_json(["convert", str(tg)], capsys)["result"]
+    assert embedded == {**written, "digraph": digraph, "schedule": order}
+
+
+def test_reduce_and_certify_build_no_edge_tuples(tmp_path, monkeypatch, capsys):
+    # the instance is built, written, rebuilt, proved by its text and
+    # evaluated from its endpoint array, the class graph's included
+    inst = reduction.build_instance(EXAMPLE, k_override=2, m_override=5)
+    schedule = reduction.schedule_from_assignment(inst, (False, True, True))
+    sched = tmp_path / "constructive.sched"
+    sched.write_text(mret.format_schedule(schedule))
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(EXAMPLE_CNF)
+    prefix = str(tmp_path / "inst")
+    refuse_edge_tuples(monkeypatch)
+    reduced = run_json(["reduce", str(cnf), "--k", "2", "--m-param", "5", "--out", prefix],
+                       capsys)["result"]
+    assert (reduced["node_count"], reduced["edge_count"]) == (39, 72)
+    for witness in (["--assignment", "FTT"], ["--schedule", str(sched)]):
+        verdict = run_json(["certify", prefix, *witness], capsys)["result"]
+        assert verdict["meets_L"] is True and verdict["L"] == "546"
 
 
 def test_every_out_prefix_follows_one_rule(tmp_path, monkeypatch, capsys):

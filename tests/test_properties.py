@@ -15,9 +15,11 @@ solvers are compared, since they refuse self-loops.
 import copy
 import json
 import pickle
+import random
 import tempfile
+from array import array
 from collections import Counter
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 from pathlib import Path
 from unittest import mock
 
@@ -36,11 +38,12 @@ from oracle import (
     naive_reach_pairs,
     naive_total_for_schedule,
     oracle_best,
+    reduction_reference,
     span_bound_reference,
     timing_outcome,
 )
 
-from mret import astra, reduction
+from mret import astra, graphs, reduction
 from mret.astra import ArborescencePair, check_pair, exact_pair, greedy_pair, sweep_blocks
 from mret.cnf import CnfFormula, format_dimacs
 from mret.errors import ParseError
@@ -52,6 +55,7 @@ from mret.graphs import (
     _label_runs,
     _parse_edge_table,
     _parse_edge_table_by_line,
+    _trusted_digraph,
     format_digraph,
     format_schedule,
     format_temporal_graph,
@@ -245,6 +249,33 @@ def test_digraph_round_trip(g):
     # comments, blank lines and extra blanks are not part of the data
     noisy = "# header next\n\n" + text.replace(" ", "  \t").replace("\n", "  \n")
     assert parse_digraph(noisy) == g
+
+
+@check
+@given(st.sampled_from([0, graphs._FORMAT_CHUNK - 1, graphs._FORMAT_CHUNK, graphs._FORMAT_CHUNK + 1, 2 * graphs._FORMAT_CHUNK + 1]),
+       st.integers(1, 5), st.sampled_from([1, 10**4, 2**31 - 1]), st.integers(0, 2**32))
+def test_a_digraph_is_formatted_alike_from_either_form(m, n, largest, seed):
+    # few distinct nodes, so that parallel edges and self-loops abound
+    rng = random.Random(seed)
+    ids = [rng.randrange(largest) for _ in range(n)]
+    edges = tuple((rng.choice(ids), rng.choice(ids)) for _ in range(m))
+    held = Digraph(largest, edges)
+    flat = _trusted_digraph(largest, endpoints=array("i", chain.from_iterable(edges)))
+    text = f"{largest} {m}\n" + "".join(f"{a} {b}\n" for a, b in edges)
+    parsed = parse_digraph(text)  # holds the endpoint array alone
+    # one bool: pytest's diff of two long texts would slow each shrinking step
+    assert all(format_digraph(g) == text for g in (held, flat, parsed))
+    assert "_endpoints" not in vars(held) and "edges" not in vars(flat)
+    assert "edges" not in vars(parsed) and parsed == held
+
+
+@check
+@given(strict_3cnfs(), st.integers(1, 4), st.integers(1, 9))
+def test_built_instances_match_the_tuple_reference(formula, K, M):
+    inst = build_instance(formula, k_override=K, m_override=M)
+    assert set(vars(inst.digraph)) == {"node_count", "_endpoints"}
+    reference = reduction_reference(formula.clauses, formula.variable_count, K, M)
+    assert (inst.digraph.node_count, inst.digraph.edges, inst.phases) == reference
 
 
 @check
